@@ -155,22 +155,72 @@ GemmParams GemmParams::TailoredTo(uint32_t m, uint32_t n, uint32_t k) const {
   return tailored;
 }
 
+PackedMatrix::PackedMatrix(const Matrix& a, const GemmParams& params)
+    : rows_(a.rows()), cols_(a.cols()), params_(params) {
+  const GemmParams tailored = params_.TailoredTo(rows_, 1, cols_);
+  const uint32_t padded_rows = RoundUp(rows_, tailored.mr);
+  panels_.Resize(static_cast<size_t>(padded_rows) * cols_);
+  // KC slices in order, and within each the MC blocks in order: the block
+  // at (ic, pc) starts after pc full slices of padded_rows x kc floats and
+  // ic rows of its own slice, which is what Block() computes.
+  float* out = panels_.data();
+  for (uint32_t pc = 0; pc < cols_; pc += tailored.kc) {
+    const uint32_t kb = std::min(tailored.kc, cols_ - pc);
+    for (uint32_t ic = 0; ic < rows_; ic += tailored.mc) {
+      const uint32_t mb = std::min(tailored.mc, rows_ - ic);
+      PackA(a, ic, mb, pc, kb, tailored.mr, out);
+      out += static_cast<size_t>(RoundUp(mb, tailored.mr)) * kb;
+    }
+  }
+}
+
+const float* PackedMatrix::Block(uint32_t ic, uint32_t pc) const {
+  const GemmParams tailored = params_.TailoredTo(rows_, 1, cols_);
+  const uint32_t kb = std::min(tailored.kc, cols_ - pc);
+  return panels_.data() +
+         static_cast<size_t>(pc) * RoundUp(rows_, tailored.mr) +
+         static_cast<size_t>(ic) * kb;
+}
+
 namespace {
 
-/// Runs the macro-kernel for one MC-row block of A: packs the block into
-/// `packed_a` and streams its micro-panels against the already-packed B
-/// panel, accumulating into C. This is the unit of work the parallel path
-/// distributes; `packed_a` and `tile` are scratch owned by one chunk.
-void RunMacroBlock(const Matrix& a, Matrix* c, const GemmParams& params,
+/// Writes the valid rows x cols part of a micro-tile into C at (row0, col0).
+/// The first KC panel adds the tile to zero, later panels accumulate onto
+/// C, and the last applies the epilogue to the finished sum: exactly the
+/// operations of zero-filling C, accumulating every panel and running a
+/// separate epilogue pass afterwards, without the fill or the extra pass.
+void StoreTile(const float* tile, uint32_t nr, uint32_t rows, uint32_t cols,
+               bool first_panel, bool last_panel, const Epilogue& epilogue,
+               uint32_t row0, uint32_t col0, Matrix* c) {
+  for (uint32_t r = 0; r < rows; ++r) {
+    float* c_row = c->Row(row0 + r) + col0;
+    const float* tile_row = tile + static_cast<size_t>(r) * nr;
+    if (first_panel) {
+      for (uint32_t col = 0; col < cols; ++col) {
+        c_row[col] = 0.0f + tile_row[col];
+      }
+    } else {
+      for (uint32_t col = 0; col < cols; ++col) c_row[col] += tile_row[col];
+    }
+    if (last_panel) {
+      for (uint32_t col = 0; col < cols; ++col) {
+        c_row[col] = epilogue.Finish(row0 + r, c_row[col]);
+      }
+    }
+  }
+}
+
+/// Runs the macro-kernel for one MC-row block of A: streams the packed A
+/// block's micro-panels against the already-packed B panel and stores each
+/// tile into C. This is the unit of work the parallel path distributes;
+/// `tile` is scratch owned by one chunk.
+void RunMacroBlock(const float* packed_a, Matrix* c, const GemmParams& params,
                    bool use_simd, uint32_t ic, uint32_t mb, uint32_t jc,
-                   uint32_t nb, uint32_t pc, uint32_t kb,
-                   const float* packed_b, float* packed_a, float* tile) {
+                   uint32_t nb, uint32_t kb, const float* packed_b,
+                   bool first_panel, bool last_panel, const Epilogue& epilogue,
+                   float* tile) {
   const uint32_t mr = params.mr;
   const uint32_t nr = params.nr;
-  {
-    DNLR_OBS_SPAN(pack_span, "mm.gemm.pack_a_us");
-    PackA(a, ic, mb, pc, kb, mr, packed_a);
-  }
   DNLR_OBS_SPAN(kernel_span, "mm.gemm.kernel_us");
   // Macro-kernel: stream micro-panels of the packed blocks.
   for (uint32_t jr = 0; jr < nb; jr += nr) {
@@ -191,24 +241,20 @@ void RunMacroBlock(const Matrix& a, Matrix* c, const GemmParams& params,
       std::memset(tile, 0, sizeof(float) * mr * nr);
       MicroKernelScalar(kb, mr, nr, a_panel, b_panel, tile);
 #endif
-      // Accumulate the valid part of the tile into C.
-      for (uint32_t r = 0; r < rows; ++r) {
-        float* c_row = c->Row(ic + ir + r) + jc + jr;
-        const float* tile_row = tile + static_cast<size_t>(r) * nr;
-        for (uint32_t col = 0; col < cols; ++col) {
-          c_row[col] += tile_row[col];
-        }
-      }
+      StoreTile(tile, nr, rows, cols, first_panel, last_panel, epilogue,
+                ic + ir, jc + jr, c);
     }
   }
 }
 
-}  // namespace
-
-void GemmWithParams(const Matrix& a, const Matrix& b, Matrix* c,
-                    const GemmParams& raw_params, common::ThreadPool* pool) {
-  const uint32_t m = a.rows();
-  const uint32_t k = a.cols();
+/// The one Goto loop nest behind every entry point. Exactly one of `a`
+/// (packed per call, block by block, into thread-local scratch) and
+/// `packed` (read in place) is non-null.
+void GemmImpl(const Matrix* a, const PackedMatrix* packed, const Matrix& b,
+              Matrix* c, const GemmParams& raw_params,
+              const Epilogue& epilogue, common::ThreadPool* pool) {
+  const uint32_t m = packed != nullptr ? packed->rows() : a->rows();
+  const uint32_t k = packed != nullptr ? packed->cols() : a->cols();
   const uint32_t n = b.cols();
   DNLR_CHECK_EQ(b.rows(), k);
   DNLR_CHECK_EQ(c->rows(), m);
@@ -220,8 +266,14 @@ void GemmWithParams(const Matrix& a, const Matrix& b, Matrix* c,
 
   DNLR_OBS_COUNT("mm.gemm.calls", 1);
   DNLR_OBS_SPAN(gemm_span, "mm.gemm.total_us");
-  c->Fill(0.0f);
-  if (m == 0 || n == 0 || k == 0) return;
+  if (m == 0 || n == 0) return;
+  if (k == 0) {  // empty sum: C = epilogue(0)
+    for (uint32_t i = 0; i < m; ++i) {
+      float* c_row = c->Row(i);
+      for (uint32_t j = 0; j < n; ++j) c_row[j] = epilogue.Finish(i, 0.0f);
+    }
+    return;
+  }
 
 #ifdef DNLR_GEMM_SIMD
   const bool use_simd = (mr == 6 && nr == 16);
@@ -239,11 +291,12 @@ void GemmWithParams(const Matrix& a, const Matrix& b, Matrix* c,
                         (params.min_parallel_flops == 0 ||
                          flops >= params.min_parallel_flops);
 
-  // Every executing thread packs into its own thread-local PackA block and
-  // micro-tile (reused across jc/pc iterations, ParallelFor calls, and GEMM
-  // calls — no per-call allocation); the packed-B panel lives in the
-  // caller's scratch and is shared read-only: PackB touches it only between
-  // ParallelFor barriers.
+  // Every executing thread owns a thread-local micro-tile and, when A is
+  // not pre-packed, a PackA block (reused across jc/pc iterations,
+  // ParallelFor calls, and GEMM calls — no per-call allocation). The
+  // packed-B panel lives in the caller's scratch and, like a pre-packed A,
+  // is shared read-only: PackB touches it only between ParallelFor
+  // barriers.
   const size_t packed_a_floats =
       static_cast<size_t>(RoundUp(params.mc, mr)) * params.kc;
   const size_t tile_floats = static_cast<size_t>(mr) * nr;
@@ -254,6 +307,8 @@ void GemmWithParams(const Matrix& a, const Matrix& b, Matrix* c,
     const uint32_t nb = std::min(params.nc, n - jc);
     for (uint32_t pc = 0; pc < k; pc += params.kc) {
       const uint32_t kb = std::min(params.kc, k - pc);
+      const bool first_panel = pc == 0;
+      const bool last_panel = pc + kb == k;
       {
         DNLR_OBS_SPAN(pack_span, "mm.gemm.pack_b_us");
         PackB(b, pc, kb, jc, nb, nr, packed_b.data());
@@ -261,13 +316,21 @@ void GemmWithParams(const Matrix& a, const Matrix& b, Matrix* c,
       const auto run_blocks = [&](uint32_t /*chunk*/, uint64_t block_begin,
                                   uint64_t block_end) {
         GemmScratch& scratch = LocalGemmScratch();
-        scratch.packed_a.GrowTo(packed_a_floats);
+        if (packed == nullptr) scratch.packed_a.GrowTo(packed_a_floats);
         scratch.tile.GrowTo(tile_floats);
         for (uint64_t block = block_begin; block < block_end; ++block) {
           const uint32_t ic = static_cast<uint32_t>(block) * params.mc;
           const uint32_t mb = std::min(params.mc, m - ic);
-          RunMacroBlock(a, c, params, use_simd, ic, mb, jc, nb, pc, kb,
-                        packed_b.data(), scratch.packed_a.data(),
+          const float* packed_a = nullptr;
+          if (packed != nullptr) {
+            packed_a = packed->Block(ic, pc);
+          } else {
+            DNLR_OBS_SPAN(pack_span, "mm.gemm.pack_a_us");
+            PackA(*a, ic, mb, pc, kb, mr, scratch.packed_a.data());
+            packed_a = scratch.packed_a.data();
+          }
+          RunMacroBlock(packed_a, c, params, use_simd, ic, mb, jc, nb, kb,
+                        packed_b.data(), first_panel, last_panel, epilogue,
                         scratch.tile.data());
         }
       };
@@ -285,6 +348,18 @@ void GemmWithParams(const Matrix& a, const Matrix& b, Matrix* c,
   // Debug builds sweep the result for NaN/Inf: a single poisoned input
   // element silently corrupts whole output panels otherwise.
   for (size_t i = 0; i < c->size(); ++i) DNLR_DCHECK_FINITE(c->data()[i]);
+}
+
+}  // namespace
+
+void GemmWithParams(const Matrix& a, const Matrix& b, Matrix* c,
+                    const GemmParams& raw_params, common::ThreadPool* pool) {
+  GemmImpl(&a, nullptr, b, c, raw_params, Epilogue(), pool);
+}
+
+void Gemm(const PackedMatrix& a, const Matrix& b, Matrix* c,
+          const Epilogue& epilogue, common::ThreadPool* pool) {
+  GemmImpl(nullptr, &a, b, c, a.params(), epilogue, pool);
 }
 
 void GemmWithParams(const Matrix& a, const Matrix& b, Matrix* c,
@@ -327,25 +402,49 @@ bool GemmHasSimd() {
 #endif
 }
 
+namespace {
+
+/// Random operands of C(m x n) = A(m x k) * B(k x n) for the GFLOPS probes.
+struct RandomGemmOperands {
+  RandomGemmOperands(uint32_t m, uint32_t k, uint32_t n, uint64_t seed)
+      : a(m, k), b(k, n), c(m, n) {
+    Rng rng(seed);
+    a.FillUniform(rng);
+    b.FillUniform(rng);
+  }
+  Matrix a;
+  Matrix b;
+  Matrix c;
+};
+
+double Gflops(uint32_t m, uint32_t k, uint32_t n, double micros) {
+  const double flops = 2.0 * m * n * k;
+  return flops / (micros * 1e-6) / 1e9;
+}
+
+}  // namespace
+
 double MeasureGemmGflops(uint32_t m, uint32_t k, uint32_t n, int repeats,
                          uint64_t seed, common::ThreadPool* pool) {
   return MeasureGemmGflopsWithParams(GemmParams(), m, k, n, repeats, seed,
                                      pool);
 }
 
+double MeasurePackedGemmGflops(uint32_t m, uint32_t k, uint32_t n,
+                               int repeats, uint64_t seed) {
+  RandomGemmOperands x(m, k, n, seed);
+  const PackedMatrix packed(x.a);
+  return Gflops(m, k, n,
+                TimeMicros([&] { Gemm(packed, x.b, &x.c); }, repeats));
+}
+
 double MeasureGemmGflopsWithParams(const GemmParams& params, uint32_t m,
                                    uint32_t k, uint32_t n, int repeats,
                                    uint64_t seed, common::ThreadPool* pool) {
-  Rng rng(seed);
-  Matrix a(m, k);
-  Matrix b(k, n);
-  Matrix c(m, n);
-  a.FillUniform(rng);
-  b.FillUniform(rng);
-  const double micros =
-      TimeMicros([&] { GemmWithParams(a, b, &c, params, pool); }, repeats);
-  const double flops = 2.0 * m * n * k;
-  return flops / (micros * 1e-6) / 1e9;
+  RandomGemmOperands x(m, k, n, seed);
+  return Gflops(m, k, n, TimeMicros([&] {
+                  GemmWithParams(x.a, x.b, &x.c, params, pool);
+                }, repeats));
 }
 
 }  // namespace dnlr::mm

@@ -1,8 +1,10 @@
 #ifndef DNLR_MM_GEMM_H_
 #define DNLR_MM_GEMM_H_
 
+#include <cstddef>
 #include <cstdint>
 
+#include "common/aligned.h"
 #include "mm/matrix.h"
 
 namespace dnlr::common {
@@ -41,6 +43,56 @@ struct GemmParams {
 /// rnd_up(a, b): smallest multiple of b that is >= a (paper Section 4.2).
 uint32_t RoundUp(uint32_t a, uint32_t b);
 
+/// ReLU6(x) = min(max(x, 0), 6), the activation the paper uses after every
+/// network layer except the last. NaN and -0 pass through unchanged.
+inline float Relu6(float x) { return x < 0.0f ? 0.0f : (x > 6.0f ? 6.0f : x); }
+
+/// Row-wise bias + activation a kernel fuses into its final store into C:
+/// C(i, j) = act(sum(i, j) + bias[i]). The kernels apply it to the finished
+/// sum with the same operations, in the same order, as a separate pass over
+/// C would, so fusing it never changes a result bit. The default is a no-op.
+struct Epilogue {
+  const float* bias = nullptr;  // one entry per row of C; null adds nothing
+  bool relu6 = false;           // clamp to [0, 6] after the bias
+
+  /// The stored value of C(row, j) given its accumulated sum.
+  float Finish(uint32_t row, float sum) const {
+    if (bias != nullptr) sum += bias[row];
+    return relu6 ? Relu6(sum) : sum;
+  }
+};
+
+/// The left operand A (m x k) of C = A * B, packed once into the layout the
+/// macro-kernel streams: for every KC slice of the columns, every MC block of
+/// the rows as PackA lays it out, at the mc / kc that GemmParams::TailoredTo
+/// picks for A's shape (they do not depend on n). A network layer's weights
+/// are constant for a model generation, so the scorers pack them at
+/// construction and no batch re-runs PackA. Rows are zero padded to a
+/// multiple of mr, so this holds RoundUp(m, mr) * k floats.
+class PackedMatrix {
+ public:
+  PackedMatrix() = default;
+  explicit PackedMatrix(const Matrix& a,
+                        const GemmParams& params = GemmParams());
+
+  uint32_t rows() const { return rows_; }
+  uint32_t cols() const { return cols_; }
+  /// The blocking parameters it was packed for; a multiplication with this
+  /// operand runs with them (tailored to its n).
+  const GemmParams& params() const { return params_; }
+  size_t size() const { return panels_.size(); }
+
+  /// The packed MC x KC block whose top-left entry is A(ic, pc); ic and pc
+  /// are multiples of the tailored mc and kc.
+  const float* Block(uint32_t ic, uint32_t pc) const;
+
+ private:
+  uint32_t rows_ = 0;
+  uint32_t cols_ = 0;
+  GemmParams params_;
+  AlignedBuffer panels_;
+};
+
 /// C = A * B with the blocked Goto algorithm. A is m x k, B is k x n, C is
 /// m x n, all row-major. C is overwritten.
 void Gemm(const Matrix& a, const Matrix& b, Matrix* c);
@@ -64,6 +116,15 @@ void GemmWithParams(const Matrix& a, const Matrix& b, Matrix* c,
 void Gemm(const Matrix& a, const Matrix& b, Matrix* c,
           common::ThreadPool* pool);
 
+/// C = epilogue(A * B) with A pre-packed: the same loop nest, blocking and
+/// order of floating-point operations as GemmWithParams(A, B, C,
+/// a.params(), pool), reading A's panels from `a` instead of packing them per
+/// call, so C is bitwise identical to that product followed by a separate
+/// epilogue pass. C is overwritten.
+void Gemm(const PackedMatrix& a, const Matrix& b, Matrix* c,
+          const Epilogue& epilogue = Epilogue(),
+          common::ThreadPool* pool = nullptr);
+
 /// Reference triple-loop GEMM (ablation baseline and test oracle).
 void GemmReference(const Matrix& a, const Matrix& b, Matrix* c);
 
@@ -71,11 +132,18 @@ void GemmReference(const Matrix& a, const Matrix& b, Matrix* c);
 bool GemmHasSimd();
 
 /// Measured GFLOPS of C = A*B at the given shape: runs the multiplication
-/// `repeats` times and reports 2*m*n*k / best_time. Used to build the dense
-/// time predictor's calibration table (Figures 4-6). A non-null `pool`
+/// `repeats` times and reports 2*m*n*k / median_time. Used for the
+/// Figures 4-6 sweeps; A is packed per call, as in the paper's sgemm. A
+/// non-null `pool`
 /// measures the parallel kernel (the bench-scaling probe).
 double MeasureGemmGflops(uint32_t m, uint32_t k, uint32_t n, int repeats = 3,
                          uint64_t seed = 99, common::ThreadPool* pool = nullptr);
+
+/// MeasureGemmGflops for the pre-packed operand: A is packed once before
+/// the timed repeats, as the scorers pack their weights once per model
+/// generation. The dense time predictor calibrates on this.
+double MeasurePackedGemmGflops(uint32_t m, uint32_t k, uint32_t n,
+                               int repeats = 3, uint64_t seed = 99);
 
 /// MeasureGemmGflops with explicit blocking parameters. The parallel-
 /// crossover calibration uses this with min_parallel_flops = 0 to force the

@@ -44,14 +44,15 @@ class Matrix {
     return data()[static_cast<size_t>(r) * cols_ + c];
   }
 
-  /// Changes the shape, zeroing the contents. Reuses the existing storage
-  /// when it is large enough (see AlignedBuffer::Resize), so matrices that
-  /// serve as reusable scratch — the scorers' ping-pong activation buffers —
-  /// reshape without reallocating once warm.
+  /// Changes the shape. The contents are unspecified afterwards, so every
+  /// entry must be written before it is read. Reuses the existing storage
+  /// when it is large enough without touching it (see
+  /// AlignedBuffer::GrowTo), so matrices that serve as reusable scratch —
+  /// the scorers' input and activation buffers — reshape for free once warm.
   void Reshape(uint32_t rows, uint32_t cols) {
     rows_ = rows;
     cols_ = cols;
-    storage_.Resize(static_cast<size_t>(rows) * cols);
+    storage_.GrowTo(static_cast<size_t>(rows) * cols);
   }
 
   /// Sets every entry to `value`.

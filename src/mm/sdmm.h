@@ -2,6 +2,7 @@
 #define DNLR_MM_SDMM_H_
 
 #include "mm/csr.h"
+#include "mm/gemm.h"
 #include "mm/matrix.h"
 
 namespace dnlr::mm {
@@ -10,9 +11,12 @@ namespace dnlr::mm {
 /// (Section 4.3, Figures 8-9): iterate the rows of CSR A; keep the C row in
 /// SIMD registers (N split into Nb blocks of nb = 8 floats); for every
 /// non-zero a(i,j), broadcast it and FMA it against the whole j-th row of B.
-/// Rows of A with no non-zeros are skipped (their C row stays zero).
+/// Rows of A with no non-zeros are skipped (their C row is epilogue(0)).
 /// A is m x k sparse, B is k x n dense, C is m x n dense and overwritten.
-void Sdmm(const CsrMatrix& a, const Matrix& b, Matrix* c);
+/// The epilogue is applied as each register block is stored, bitwise
+/// identical to a separate pass over C afterwards.
+void Sdmm(const CsrMatrix& a, const Matrix& b, Matrix* c,
+          const Epilogue& epilogue = Epilogue());
 
 /// Reference general-purpose CSR x dense kernel (Algorithm 1 of the paper):
 /// the mundane loop nest with no register blocking or SIMD-aware layout.

@@ -7,6 +7,7 @@
 
 #include "common/rng.h"
 #include "common/status.h"
+#include "mm/gemm.h"
 #include "mm/matrix.h"
 #include "predict/architecture.h"
 
@@ -21,9 +22,10 @@ struct LinearLayer {
   uint32_t in_dim() const { return weight.cols(); }
 };
 
-/// ReLU6(x) = min(max(x, 0), 6), the activation the paper uses after every
-/// layer except the last.
-inline float Relu6(float x) { return x < 0.0f ? 0.0f : (x > 6.0f ? 6.0f : x); }
+/// ReLU6, the activation after every layer except the last. Defined next to
+/// the kernels that fuse it into their stores, so training and inference
+/// clamp with the same expression.
+using mm::Relu6;
 
 /// Derivative of ReLU6 (zero outside the open interval (0, 6)).
 inline float Relu6Grad(float x) {

@@ -8,9 +8,36 @@
 
 namespace dnlr::nn {
 
+/// Per-OS-thread forward-pass scratch: two activation buffers. The input
+/// columns go into layers[0]; layer l reads layers[l % 2] and writes the
+/// other one, so the input's buffer takes layer 1's output and no third
+/// buffer is held. Like mm's GemmScratch it is reused across batches, Score
+/// calls and scorers, so steady-state scoring neither allocates nor
+/// zero-fills: Reshape keeps the storage once it reaches the widest shape,
+/// and every entry a layer reads was written earlier in the same batch (the
+/// input transposition writes every column, and the GEMM and Sdmm store
+/// every entry of C).
+struct ForwardScratch {
+  mm::Matrix layers[2];
+};
+
+namespace {
+
+ForwardScratch& LocalForwardScratch() {
+  thread_local ForwardScratch scratch;
+  return scratch;
+}
+
+}  // namespace
+
 NeuralScorer::NeuralScorer(const Mlp& mlp, const data::ZNormalizer* normalizer,
                            NeuralScorerConfig config)
-    : normalizer_(normalizer),
+    : NeuralScorer(mlp, normalizer, config, /*sparse_first_layer=*/false) {}
+
+NeuralScorer::NeuralScorer(const Mlp& mlp, const data::ZNormalizer* normalizer,
+                           NeuralScorerConfig config, bool sparse_first_layer)
+    : sparse_first_layer_(sparse_first_layer),
+      normalizer_(normalizer),
       config_(config),
       input_dim_(mlp.arch().input_dim) {
   DNLR_CHECK_GT(config_.batch_size, 0u);
@@ -18,43 +45,39 @@ NeuralScorer::NeuralScorer(const Mlp& mlp, const data::ZNormalizer* normalizer,
     DNLR_CHECK_EQ(normalizer_->num_features(), input_dim_);
   }
   for (uint32_t l = 0; l < mlp.num_layers(); ++l) {
-    weights_.push_back(mlp.layer(l).weight);
+    const bool sparse = sparse_first_layer_ && l == 0;
+    if (sparse) {
+      first_layer_ = mm::CsrMatrix::FromDense(mlp.layer(l).weight);
+      weights_.emplace_back();
+    } else {
+      weights_.emplace_back(mlp.layer(l).weight);
+    }
     biases_.push_back(mlp.layer(l).bias);
+    const std::string kind = sparse ? ".sparse_us" : ".dense_us";
     layer_histograms_.push_back(&obs::MetricsRegistry::Global().GetHistogram(
-        "nn.layer" + std::to_string(l) + ".dense_us"));
+        "nn.layer" + std::to_string(l) + kind));
   }
   forward_histogram_ =
       &obs::MetricsRegistry::Global().GetHistogram("nn.forward_us");
 }
 
-void NeuralScorer::BiasActivate(const std::vector<float>& bias, bool activate,
-                                mm::Matrix* z) {
-  for (uint32_t o = 0; o < z->rows(); ++o) {
-    float* row = z->Row(o);
-    const float b = bias[o];
-    if (activate) {
-      for (uint32_t j = 0; j < z->cols(); ++j) row[j] = Relu6(row[j] + b);
-    } else {
-      for (uint32_t j = 0; j < z->cols(); ++j) row[j] += b;
-    }
-  }
-}
-
-void NeuralScorer::ForwardColumns(const mm::Matrix& input_columns,
-                                  ForwardScratch* scratch, float* out) const {
-  const uint32_t batch = input_columns.cols();
-  // Layer 0 reads the packed input in place; each later layer reads the
-  // previous layer's buffer and writes the other one (ping-pong), so no
-  // layer allocates once the scratch reaches its high-water size.
-  const mm::Matrix* current = &input_columns;
-  mm::Matrix* buffers[2] = {&scratch->ping, &scratch->pong};
+void NeuralScorer::ForwardColumns(ForwardScratch* scratch, float* out) const {
+  const uint32_t batch = scratch->layers[0].cols();
+  const mm::Matrix* current = &scratch->layers[0];
   obs::TraceSpan forward_span(forward_histogram_);
-  for (size_t l = 0; l < weights_.size(); ++l) {
+  const size_t num_layers = biases_.size();
+  for (size_t l = 0; l < num_layers; ++l) {
     obs::TraceSpan layer_span(layer_histograms_[l]);
-    mm::Matrix* next = buffers[l % 2];
-    next->Reshape(weights_[l].rows(), batch);
-    mm::Gemm(weights_[l], *current, next);
-    BiasActivate(biases_[l], /*activate=*/l + 1 < weights_.size(), next);
+    mm::Matrix* next = &scratch->layers[(l + 1) % 2];
+    next->Reshape(static_cast<uint32_t>(biases_[l].size()), batch);
+    // Bias on every layer, ReLU6 on all but the last (the scoring layer).
+    const mm::Epilogue epilogue{biases_[l].data(),
+                                /*relu6=*/l + 1 < num_layers};
+    if (l == 0 && sparse_first_layer_) {
+      mm::Sdmm(first_layer_, *current, next, epilogue);
+    } else {
+      mm::Gemm(weights_[l], *current, next, epilogue);
+    }
     current = next;
   }
   // Final layer has a single output row: the scores.
@@ -65,24 +88,32 @@ void NeuralScorer::ForwardColumns(const mm::Matrix& input_columns,
 void NeuralScorer::ScoreBatchRange(const float* docs, uint32_t count,
                                    uint32_t stride, uint64_t batch_begin,
                                    uint64_t batch_end, float* out) const {
-  std::vector<float> normalized(input_dim_);
-  ForwardScratch scratch;
-  mm::Matrix columns;
+  ForwardScratch& scratch = LocalForwardScratch();
+  const float* mean =
+      normalizer_ != nullptr ? normalizer_->mean().data() : nullptr;
+  const float* stddev =
+      normalizer_ != nullptr ? normalizer_->stddev().data() : nullptr;
   for (uint64_t bi = batch_begin; bi < batch_end; ++bi) {
     const uint32_t start = static_cast<uint32_t>(bi) * config_.batch_size;
     const uint32_t batch = std::min(config_.batch_size, count - start);
-    // Pack documents as columns of B (features x batch), normalizing on the
-    // way in.
-    columns.Reshape(input_dim_, batch);
+    // Documents become the columns of B (features x batch), normalized on
+    // the way in with ZNormalizer::Apply's expression.
+    scratch.layers[0].Reshape(input_dim_, batch);
+    float* columns = scratch.layers[0].data();
     for (uint32_t b = 0; b < batch; ++b) {
       const float* row = docs + static_cast<size_t>(start + b) * stride;
-      std::copy(row, row + input_dim_, normalized.begin());
-      if (normalizer_ != nullptr) normalizer_->Apply(normalized.data());
-      for (uint32_t f = 0; f < input_dim_; ++f) {
-        columns.At(f, b) = normalized[f];
+      if (normalizer_ != nullptr) {
+        for (uint32_t f = 0; f < input_dim_; ++f) {
+          columns[static_cast<size_t>(f) * batch + b] =
+              (row[f] - mean[f]) / stddev[f];
+        }
+      } else {
+        for (uint32_t f = 0; f < input_dim_; ++f) {
+          columns[static_cast<size_t>(f) * batch + b] = row[f];
+        }
       }
     }
-    ForwardColumns(columns, &scratch, out + start);
+    ForwardColumns(&scratch, out + start);
   }
 }
 
@@ -112,39 +143,6 @@ void NeuralScorer::Score(const float* docs, uint32_t count, uint32_t stride,
 HybridNeuralScorer::HybridNeuralScorer(const Mlp& mlp,
                                        const data::ZNormalizer* normalizer,
                                        NeuralScorerConfig config)
-    : NeuralScorer(mlp, normalizer, config),
-      first_layer_(mm::CsrMatrix::FromDense(mlp.layer(0).weight)) {
-  // The first layer runs sparse here: record it under the sparse name so
-  // the stats report shows the sparse / dense split per layer.
-  layer_histograms_[0] =
-      &obs::MetricsRegistry::Global().GetHistogram("nn.layer0.sparse_us");
-}
-
-void HybridNeuralScorer::ForwardColumns(const mm::Matrix& input_columns,
-                                        ForwardScratch* scratch,
-                                        float* out) const {
-  const uint32_t batch = input_columns.cols();
-  mm::Matrix* buffers[2] = {&scratch->ping, &scratch->pong};
-  obs::TraceSpan forward_span(forward_histogram_);
-  // First layer: sparse weights x dense input columns, read in place.
-  mm::Matrix* current = buffers[0];
-  {
-    obs::TraceSpan layer_span(layer_histograms_[0]);
-    current->Reshape(first_layer_.rows(), batch);
-    mm::Sdmm(first_layer_, input_columns, current);
-    BiasActivate(biases_[0], /*activate=*/weights_.size() > 1, current);
-  }
-  // Remaining layers: dense, ping-ponging between the two buffers.
-  for (size_t l = 1; l < weights_.size(); ++l) {
-    obs::TraceSpan layer_span(layer_histograms_[l]);
-    mm::Matrix* next = buffers[l % 2];
-    next->Reshape(weights_[l].rows(), batch);
-    mm::Gemm(weights_[l], *current, next);
-    BiasActivate(biases_[l], /*activate=*/l + 1 < weights_.size(), next);
-    current = next;
-  }
-  const float* scores = current->Row(0);
-  std::copy(scores, scores + batch, out);
-}
+    : NeuralScorer(mlp, normalizer, config, /*sparse_first_layer=*/true) {}
 
 }  // namespace dnlr::nn

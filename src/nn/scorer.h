@@ -36,25 +36,21 @@ struct NeuralScorerConfig {
   uint32_t min_parallel_docs = 128;
 };
 
-/// Per-call scratch of the layer-by-layer forward pass: two activation
-/// matrices used as ping-pong buffers. Reused across every batch of one
-/// Score call, so the steady state allocates nothing per batch (Reshape
-/// reuses storage once the buffers reach the widest layer's size).
-struct ForwardScratch {
-  mm::Matrix ping;
-  mm::Matrix pong;
-};
+/// Per-thread scratch of the forward pass (defined in scorer.cc).
+struct ForwardScratch;
 
 /// Optimized dense neural inference on CPU: documents are Z-normalized and
-/// packed as columns of B (features x batch); each layer is one blocked
-/// GEMM C = W * B followed by bias + ReLU6. This is the C++ engine the
+/// transposed straight into the columns of B (features x batch); each layer
+/// is one blocked GEMM C = W * B over weights packed once at construction,
+/// with bias + ReLU6 fused into the store of C. This is the C++ engine the
 /// paper benchmarks against QuickScorer (Section 6.1 uses oneDNN's sgemm;
 /// ours is the Goto-algorithm GEMM from mm/).
 class NeuralScorer : public forest::DocumentScorer {
  public:
-  /// Copies the model weights. `normalizer` may be null when inputs are
-  /// already normalized; it is captured by pointer and must outlive the
-  /// scorer.
+  /// Packs every layer's weights into the GEMM's A-panel layout and copies
+  /// the biases; the scorer keeps no reference to `mlp`. `normalizer` may be
+  /// null when inputs are already normalized; it is captured by pointer and
+  /// must outlive the scorer.
   NeuralScorer(const Mlp& mlp, const data::ZNormalizer* normalizer,
                NeuralScorerConfig config = NeuralScorerConfig());
 
@@ -64,26 +60,32 @@ class NeuralScorer : public forest::DocumentScorer {
              float* out) const override;
 
  protected:
-  /// Scores one batch already packed column-major (features x batch). The
-  /// input is read in place (layer 0 consumes it directly; no copy) and the
-  /// remaining layers ping-pong between the scratch buffers. Overridden by
-  /// the hybrid scorer to run the first layer sparse.
-  virtual void ForwardColumns(const mm::Matrix& input_columns,
-                              ForwardScratch* scratch, float* out) const;
+  /// With `sparse_first_layer`, layer 0 is kept as CSR and multiplied with
+  /// Sdmm instead of being packed for the GEMM (the hybrid engine).
+  NeuralScorer(const Mlp& mlp, const data::ZNormalizer* normalizer,
+               NeuralScorerConfig config, bool sparse_first_layer);
 
-  /// Applies bias and (optionally) ReLU6 row-wise to a (out x batch) matrix.
-  static void BiasActivate(const std::vector<float>& bias, bool activate,
-                           mm::Matrix* z);
+  /// The CSR first layer; empty unless the first layer runs sparse.
+  const mm::CsrMatrix& first_layer() const { return first_layer_; }
+
+ private:
+  /// Scores one batch whose normalized columns (features x batch) are in
+  /// the scratch's first buffer; the layers ping-pong between its two
+  /// buffers.
+  void ForwardColumns(ForwardScratch* scratch, float* out) const;
 
   /// Scores the contiguous batch range [batch_begin, batch_end) of a Score
-  /// call (batch i covers documents [i * batch_size, ...)). Each pool chunk
-  /// runs one of these with its own scratch.
+  /// call (batch i covers documents [i * batch_size, ...)) with the calling
+  /// thread's scratch.
   void ScoreBatchRange(const float* docs, uint32_t count, uint32_t stride,
                        uint64_t batch_begin, uint64_t batch_end,
                        float* out) const;
 
-  std::vector<mm::Matrix> weights_;          // per layer, out x in
-  std::vector<std::vector<float>> biases_;   // per layer
+  bool sparse_first_layer_;
+  mm::CsrMatrix first_layer_;                  // layer 0 when it runs sparse
+  std::vector<mm::PackedMatrix> weights_;      // per layer; [0] empty when
+                                               // the first layer runs sparse
+  std::vector<std::vector<float>> biases_;     // per layer
   const data::ZNormalizer* normalizer_;
   NeuralScorerConfig config_;
   uint32_t input_dim_;
@@ -91,9 +93,8 @@ class NeuralScorer : public forest::DocumentScorer {
   /// Observability: per-layer forward-time histograms plus the whole-batch
   /// forward histogram, resolved from the global registry at construction
   /// so the forward pass never touches the registry map. Layer 0's name
-  /// marks the sparse / dense split (the hybrid engine re-points it at the
-  /// sparse histogram). Recording is gated on the obs run-time switch and
-  /// never alters scores.
+  /// marks the sparse / dense split. Recording is gated on the obs run-time
+  /// switch and never alters scores.
   std::vector<obs::Histogram*> layer_histograms_;
   obs::Histogram* forward_histogram_ = nullptr;
 };
@@ -101,7 +102,7 @@ class NeuralScorer : public forest::DocumentScorer {
 /// The paper's hybrid engine: the (heavily pruned) first layer runs as
 /// sparse-dense multiplication over its CSR weights; all remaining layers
 /// run dense. This is the configuration that outperforms QuickScorer
-/// (Table 8, Figures 12-13).
+/// (Table 8, Figures 12-13). The dense copy of the first layer is not kept.
 class HybridNeuralScorer : public NeuralScorer {
  public:
   HybridNeuralScorer(const Mlp& mlp, const data::ZNormalizer* normalizer,
@@ -110,14 +111,7 @@ class HybridNeuralScorer : public NeuralScorer {
   std::string_view name() const override { return "neural-hybrid-sparse"; }
 
   /// Sparsity of the first layer actually exploited by the engine.
-  double first_layer_sparsity() const { return first_layer_.Sparsity(); }
-
- protected:
-  void ForwardColumns(const mm::Matrix& input_columns,
-                      ForwardScratch* scratch, float* out) const override;
-
- private:
-  mm::CsrMatrix first_layer_;
+  double first_layer_sparsity() const { return first_layer().Sparsity(); }
 };
 
 }  // namespace dnlr::nn

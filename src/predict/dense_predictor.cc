@@ -30,7 +30,7 @@ DenseTimePredictor DenseTimePredictor::Calibrate(
     for (const uint32_t k : config.k_values) {
       for (const uint32_t m : config.m_values) {
         DenseCalibrationPoint point{m, k, n, 0.0};
-        point.gflops = mm::MeasureGemmGflops(m, k, n, config.repeats);
+        point.gflops = mm::MeasurePackedGemmGflops(m, k, n, config.repeats);
         points.push_back(point);
       }
     }

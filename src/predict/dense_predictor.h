@@ -39,7 +39,9 @@ class DenseTimePredictor {
   explicit DenseTimePredictor(std::vector<DenseCalibrationPoint> points);
 
   /// Measures the GEMM throughput grid on this machine and builds the
-  /// predictor. Deterministic given the machine; takes seconds.
+  /// predictor. Each point times the GEMM the scorers run, with A packed
+  /// once up front (mm::MeasurePackedGemmGflops). Deterministic given the
+  /// machine; takes seconds.
   static DenseTimePredictor Calibrate(
       const DenseCalibrationConfig& config = DenseCalibrationConfig());
 

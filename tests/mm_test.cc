@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <tuple>
+#include <vector>
 
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "mm/csr.h"
 #include "mm/gemm.h"
 #include "mm/matrix.h"
@@ -177,6 +180,145 @@ TEST(CsrTest, ExplicitConstructionValidates) {
   EXPECT_FLOAT_EQ(csr.ToDense().At(0, 2), 5.0f);
   EXPECT_FLOAT_EQ(csr.ToDense().At(1, 0), -1.0f);
 }
+// The separate bias + activation pass the scorers ran over every layer's
+// output before the epilogue was fused into the kernels' stores.
+void BiasActivate(const std::vector<float>& bias, bool activate, Matrix* z) {
+  for (uint32_t o = 0; o < z->rows(); ++o) {
+    float* row = z->Row(o);
+    const float b = bias[o];
+    if (activate) {
+      for (uint32_t j = 0; j < z->cols(); ++j) row[j] = Relu6(row[j] + b);
+    } else {
+      for (uint32_t j = 0; j < z->cols(); ++j) row[j] += b;
+    }
+  }
+}
+
+bool BitwiseEqual(const Matrix& x, const Matrix& y) {
+  return x.rows() == y.rows() && x.cols() == y.cols() &&
+         std::memcmp(x.data(), y.data(), x.size() * sizeof(float)) == 0;
+}
+
+std::vector<float> RandomBias(uint32_t m, Rng& rng) {
+  std::vector<float> bias(m);
+  for (float& b : bias) b = static_cast<float>(rng.Normal(0.0, 2.0));
+  return bias;
+}
+
+TEST(PackedGemmTest, HoldsPaddedRowsTimesK) {
+  Rng rng(3);
+  Matrix a(100, 300);
+  a.FillNormal(rng);
+  const PackedMatrix packed(a);
+  EXPECT_EQ(packed.rows(), 100u);
+  EXPECT_EQ(packed.cols(), 300u);
+  EXPECT_EQ(packed.size(), static_cast<size_t>(RoundUp(100, 6)) * 300);
+}
+
+// The tentpole contract: a pre-packed A plus the fused epilogue gives the
+// same bits as per-call packing followed by a separate bias (+ ReLU6)
+// pass, across the micro-tile edges (m around mr = 6 and mc = 72, n around
+// nr = 16) and the KC boundary (k = 256 / 257 / 300: two panels, the bias
+// must land once, after the last). C starts out holding garbage, which the
+// product must overwrite.
+TEST(PackedGemmTest, FusedEpilogueBitwiseMatchesSeparatePass) {
+  for (const uint32_t m : {1u, 5u, 6u, 7u, 72u, 73u, 100u}) {
+    for (const uint32_t k : {1u, 50u, 256u, 257u, 300u}) {
+      Rng rng(static_cast<uint64_t>(m) * 1009 + k);
+      Matrix a(m, k);
+      a.FillNormal(rng);
+      const PackedMatrix packed(a);
+      const std::vector<float> bias = RandomBias(m, rng);
+      for (const uint32_t n : {1u, 10u, 15u, 16u, 17u, 64u, 65u}) {
+        Matrix b(k, n);
+        b.FillNormal(rng);
+        for (const bool relu6 : {false, true}) {
+          Matrix expected(m, n);
+          Gemm(a, b, &expected);
+          BiasActivate(bias, relu6, &expected);
+          Matrix fused(m, n);
+          fused.Fill(-123.0f);
+          Gemm(packed, b, &fused, Epilogue{bias.data(), relu6});
+          EXPECT_TRUE(BitwiseEqual(fused, expected))
+              << m << "x" << k << "x" << n << " relu6 " << relu6;
+        }
+        Matrix plain(m, n);
+        Gemm(a, b, &plain);
+        Matrix no_epilogue(m, n);
+        Gemm(packed, b, &no_epilogue);
+        EXPECT_TRUE(BitwiseEqual(no_epilogue, plain))
+            << m << "x" << k << "x" << n << " no epilogue";
+      }
+    }
+  }
+}
+
+// Exact small integers make a double-applied bias visible: every C entry
+// is k + bias with bias = 2.5 - k, i.e. exactly 2.5, and a bias added after
+// each of the two KC panels would drive it far negative (clamped to 0).
+TEST(PackedGemmTest, BiasAppliedOnceAfterLastKcPanel) {
+  for (const uint32_t k : {257u, 300u, 600u}) {
+    Matrix a(7, k);
+    Matrix b(k, 17);
+    a.Fill(1.0f);
+    b.Fill(1.0f);
+    const std::vector<float> bias(7, 2.5f - static_cast<float>(k));
+    Matrix c(7, 17);
+    Gemm(PackedMatrix(a), b, &c, Epilogue{bias.data(), /*relu6=*/true});
+    for (uint32_t i = 0; i < c.rows(); ++i) {
+      for (uint32_t j = 0; j < c.cols(); ++j) {
+        ASSERT_EQ(c.At(i, j), 2.5f) << "k " << k << " at " << i << "," << j;
+      }
+    }
+  }
+}
+
+TEST(PackedGemmTest, EmptySharedDimensionStoresEpilogueOfZero) {
+  const Matrix a(3, 0);
+  const Matrix b(0, 5);
+  const std::vector<float> bias = {-1.0f, 2.0f, 7.0f};
+  Matrix c(3, 5);
+  c.Fill(9.0f);
+  Gemm(PackedMatrix(a), b, &c, Epilogue{bias.data(), /*relu6=*/true});
+  for (uint32_t j = 0; j < 5; ++j) {
+    EXPECT_EQ(c.At(0, j), 0.0f);
+    EXPECT_EQ(c.At(1, j), 2.0f);
+    EXPECT_EQ(c.At(2, j), 6.0f);
+  }
+}
+
+// Non-default blocking (scalar micro-kernel, several mc / kc / nc blocks)
+// and the parallel path: the packed operand carries its params, and every
+// chunk reads the shared panels, so all three products agree bitwise.
+TEST(PackedGemmTest, CustomParamsAndParallelPathMatch) {
+  GemmParams params;
+  params.mr = 4;
+  params.nr = 5;
+  params.mc = 8;
+  params.kc = 16;
+  params.nc = 10;
+  params.min_parallel_flops = 0;
+  Rng rng(4);
+  Matrix a(33, 47);
+  Matrix b(47, 29);
+  a.FillNormal(rng);
+  b.FillNormal(rng);
+  const std::vector<float> bias = RandomBias(33, rng);
+  Matrix expected(33, 29);
+  GemmWithParams(a, b, &expected, params);
+  BiasActivate(bias, /*activate=*/true, &expected);
+
+  const PackedMatrix packed(a, params);
+  const Epilogue epilogue{bias.data(), /*relu6=*/true};
+  Matrix serial(33, 29);
+  Gemm(packed, b, &serial, epilogue);
+  EXPECT_TRUE(BitwiseEqual(serial, expected));
+
+  common::ThreadPool pool(3);
+  Matrix parallel(33, 29);
+  Gemm(packed, b, &parallel, epilogue, &pool);
+  EXPECT_TRUE(BitwiseEqual(parallel, expected));
+}
 
 // Property sweep for the sparse kernel across shapes, sparsities and batch
 // sizes, including non-multiple-of-8 batches (scalar remainder path).
@@ -236,6 +378,41 @@ TEST(SdmmTest, InactiveRowsProduceZeroRows) {
     EXPECT_FLOAT_EQ(c.At(2, j), 0.0f);
     EXPECT_FLOAT_EQ(c.At(3, j), 0.0f);
     EXPECT_FLOAT_EQ(c.At(1, j), 3.0f * b.At(2, j));
+  }
+}
+
+// The fused Sdmm store against Sdmm followed by the separate pass: every
+// store path (32- and 8-wide register blocks, the scalar remainder and
+// inactive rows) over garbage-filled outputs.
+TEST(SdmmTest, FusedEpilogueBitwiseMatchesSeparatePass) {
+  for (const uint32_t n : {1u, 7u, 8u, 10u, 33u, 64u, 65u}) {
+    for (const double sparsity : {0.0, 0.9, 0.97}) {
+      Rng rng(static_cast<uint64_t>(n) * 7 +
+              static_cast<uint64_t>(sparsity * 100));
+      Matrix dense(50, 136);
+      for (uint32_t r = 0; r < dense.rows(); ++r) {
+        if (r % 7 == 3) continue;  // some rows stay inactive
+        for (uint32_t c = 0; c < dense.cols(); ++c) {
+          if (rng.Uniform() >= sparsity) {
+            dense.At(r, c) = static_cast<float>(rng.Normal());
+          }
+        }
+      }
+      const CsrMatrix a = CsrMatrix::FromDense(dense);
+      Matrix b(136, n);
+      b.FillNormal(rng);
+      const std::vector<float> bias = RandomBias(50, rng);
+      for (const bool relu6 : {false, true}) {
+        Matrix expected(50, n);
+        Sdmm(a, b, &expected);
+        BiasActivate(bias, relu6, &expected);
+        Matrix fused(50, n);
+        fused.Fill(-123.0f);
+        Sdmm(a, b, &fused, Epilogue{bias.data(), relu6});
+        EXPECT_TRUE(BitwiseEqual(fused, expected))
+            << "n " << n << " sparsity " << sparsity << " relu6 " << relu6;
+      }
+    }
   }
 }
 

@@ -1,11 +1,20 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <string>
+#include <vector>
+
+#include "common/thread_pool.h"
 
 #include "data/normalize.h"
 #include "data/synthetic.h"
 #include "gbdt/booster.h"
 #include "metrics/metrics.h"
+#include "mm/csr.h"
+#include "mm/gemm.h"
+#include "mm/sdmm.h"
 #include "nn/adam.h"
 #include "nn/distill.h"
 #include "nn/mlp.h"
@@ -345,6 +354,104 @@ TEST_F(DistillFixture, ScorerHandlesOddBatchSizes) {
   const auto even = scorer64.ScoreDataset(splits_->test);
   for (size_t d = 0; d < odd.size(); ++d) {
     EXPECT_NEAR(odd[d], even[d], 1e-3f);
+  }
+}
+
+// The scorers' forward pass as it ran before weights were pre-packed and
+// bias + ReLU6 fused into the kernels: per batch, copy and normalize each
+// document, transpose it into a zeroed column matrix, then per layer a
+// per-call-packed GEMM (or Sdmm for a sparse first layer) into a zeroed
+// output followed by a separate bias + activation pass.
+std::vector<float> ReferenceScores(const Mlp& mlp,
+                                   const data::ZNormalizer* normalizer,
+                                   const data::Dataset& dataset,
+                                   uint32_t batch_size, bool sparse_first) {
+  const uint32_t dim = dataset.num_features();
+  const uint32_t count = dataset.num_docs();
+  const mm::CsrMatrix first = mm::CsrMatrix::FromDense(mlp.layer(0).weight);
+  std::vector<float> scores(count);
+  std::vector<float> normalized(dim);
+  for (uint32_t start = 0; start < count; start += batch_size) {
+    const uint32_t batch = std::min(batch_size, count - start);
+    mm::Matrix current(dim, batch);
+    for (uint32_t b = 0; b < batch; ++b) {
+      const float* row = dataset.Row(start + b);
+      std::copy(row, row + dim, normalized.begin());
+      if (normalizer != nullptr) normalizer->Apply(normalized.data());
+      for (uint32_t f = 0; f < dim; ++f) current.At(f, b) = normalized[f];
+    }
+    for (uint32_t l = 0; l < mlp.num_layers(); ++l) {
+      const LinearLayer& layer = mlp.layer(l);
+      mm::Matrix next(layer.out_dim(), batch);
+      if (l == 0 && sparse_first) {
+        mm::Sdmm(first, current, &next);
+      } else {
+        mm::Gemm(layer.weight, current, &next);
+      }
+      const bool activate = l + 1 < mlp.num_layers();
+      for (uint32_t o = 0; o < next.rows(); ++o) {
+        float* row = next.Row(o);
+        const float bias = layer.bias[o];
+        for (uint32_t j = 0; j < batch; ++j) {
+          row[j] = activate ? Relu6(row[j] + bias) : row[j] + bias;
+        }
+      }
+      current = std::move(next);
+    }
+    std::copy(current.Row(0), current.Row(0) + batch, scores.begin() + start);
+  }
+  return scores;
+}
+
+bool BitwiseEqual(const std::vector<float>& x, const std::vector<float>& y) {
+  return x.size() == y.size() &&
+         std::memcmp(x.data(), y.data(), x.size() * sizeof(float)) == 0;
+}
+
+// Pre-packed weights, the fused epilogue, the direct normalize-transpose
+// and the per-thread scratch change no score bit, for both engines,
+// serially and with a pool, at batch sizes with remainders and with a
+// hidden layer wide enough (300) to span several MC blocks and two KC
+// panels of the next layer.
+TEST_F(DistillFixture, ScorersBitwiseMatchReferenceForward) {
+  const uint32_t f = splits_->train.num_features();
+  common::ThreadPool pool(3);
+  for (const std::vector<uint32_t>& hidden :
+       {std::vector<uint32_t>{24, 12}, std::vector<uint32_t>{300, 13}}) {
+    Mlp mlp(Architecture(f, hidden), 18);
+    mm::Matrix& w0 = mlp.layer(0).weight;
+    for (size_t i = 0; i < w0.size(); ++i) {
+      if (i % 4 != 0) w0.data()[i] = 0.0f;
+    }
+    for (const uint32_t batch_size : {7u, 64u}) {
+      for (const bool use_pool : {false, true}) {
+        NeuralScorerConfig config;
+        config.batch_size = batch_size;
+        config.pool = use_pool ? &pool : nullptr;
+        config.min_parallel_docs = 0;
+        for (const data::ZNormalizer* normalizer :
+             {static_cast<const data::ZNormalizer*>(normalizer_),
+              static_cast<const data::ZNormalizer*>(nullptr)}) {
+          const NeuralScorer dense(mlp, normalizer, config);
+          const HybridNeuralScorer hybrid(mlp, normalizer, config);
+          const std::string where =
+              "hidden " + std::to_string(hidden[0]) + " batch " +
+              std::to_string(batch_size) + " pool " +
+              std::to_string(use_pool) + " normalizer " +
+              std::to_string(normalizer != nullptr);
+          EXPECT_TRUE(BitwiseEqual(
+              dense.ScoreDataset(splits_->test),
+              ReferenceScores(mlp, normalizer, splits_->test, batch_size,
+                              /*sparse_first=*/false)))
+              << "dense, " << where;
+          EXPECT_TRUE(BitwiseEqual(
+              hybrid.ScoreDataset(splits_->test),
+              ReferenceScores(mlp, normalizer, splits_->test, batch_size,
+                              /*sparse_first=*/true)))
+              << "hybrid, " << where;
+        }
+      }
+    }
   }
 }
 

@@ -9,8 +9,11 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "common/timer.h"
 #include "mm/gemm.h"
+#include "nn/mlp.h"
+#include "nn/scorer.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "serve/latency.h"
@@ -217,6 +220,63 @@ TEST(InstrumentationTest, GemmBitwiseIdenticalWithSpansEnabled) {
   EXPECT_EQ(std::memcmp(c_off.data(), c_on.data(),
                         c_off.size() * sizeof(float)),
             0);
+}
+
+// Regression guard for the pre-packed weights: with spans on, scoring with
+// both neural engines (serially and across a pool) multiplies through the
+// GEMM, yet never packs A, because the weights were packed when the
+// scorers were built. A plain GEMM still records A-packing, so the guard
+// can fail.
+TEST(InstrumentationTest, NeuralScorersNeverPackWeightsPerBatch) {
+  MetricsRegistry& registry = MetricsRegistry::Global();
+  const uint32_t features = 30;
+  nn::Mlp mlp(predict::Architecture(features, {40, 20}), 5);
+  mm::Matrix& w0 = mlp.layer(0).weight;
+  for (size_t i = 0; i < w0.size(); ++i) {
+    if (i % 3 != 0) w0.data()[i] = 0.0f;
+  }
+  common::ThreadPool pool(2);
+  nn::NeuralScorerConfig config;
+  config.batch_size = 16;
+  config.min_parallel_docs = 0;
+  const nn::NeuralScorer serial_dense(mlp, nullptr);
+  const nn::HybridNeuralScorer serial_hybrid(mlp, nullptr);
+  config.pool = &pool;
+  const nn::NeuralScorer pooled_dense(mlp, nullptr, config);
+  const nn::HybridNeuralScorer pooled_hybrid(mlp, nullptr, config);
+
+  Rng rng(8);
+  const uint32_t docs = 100;
+  std::vector<float> features_in(static_cast<size_t>(docs) * features);
+  for (float& x : features_in) x = static_cast<float>(rng.Normal());
+  std::vector<float> scores(docs);
+
+  Histogram& pack_a = registry.GetHistogram("mm.gemm.pack_a_us");
+  Histogram& kernel = registry.GetHistogram("mm.gemm.kernel_us");
+  const uint64_t pack_a_before = pack_a.Count();
+  const uint64_t kernel_before = kernel.Count();
+  registry.SetEnabled(true);
+  for (const nn::NeuralScorer* scorer :
+       {&serial_dense, &pooled_dense,
+        static_cast<const nn::NeuralScorer*>(&serial_hybrid),
+        static_cast<const nn::NeuralScorer*>(&pooled_hybrid)}) {
+    scorer->Score(features_in.data(), docs, features, scores.data());
+  }
+  registry.SetEnabled(false);
+  EXPECT_EQ(pack_a.Count(), pack_a_before);
+
+#ifndef DNLR_OBS_DISABLED
+  EXPECT_GT(kernel.Count(), kernel_before);  // the spans were recording
+  mm::Matrix a(12, 9);
+  mm::Matrix b(9, 4);
+  mm::Matrix c(12, 4);
+  registry.SetEnabled(true);
+  mm::Gemm(a, b, &c);
+  registry.SetEnabled(false);
+  EXPECT_GT(pack_a.Count(), pack_a_before);
+#else
+  (void)kernel_before;
+#endif
 }
 
 // Wait-free recording must be lossless under contention: every Record from

@@ -1954,6 +1954,32 @@ int CmdServeBench(const Args& args) {
   return 0;
 }
 
+/// The GEMM time split recorded in `registry`, in microseconds: total,
+/// kernel, and the A and B packing apart.
+constexpr const char* kGemmSplitParts[] = {"total", "kernel", "pack_a",
+                                           "pack_b"};
+std::vector<double> GemmSplitMicros(obs::MetricsRegistry& registry) {
+  std::vector<double> micros;
+  for (const char* part : kGemmSplitParts) {
+    std::string name = "mm.gemm.";
+    name.append(part).append("_us");
+    micros.push_back(registry.GetHistogram(name).SumMicros());
+  }
+  return micros;
+}
+
+/// JSON members for a GEMM split, e.g. "gemm_pack_a_us": 12.0. The scorers
+/// multiply pre-packed weights, so A-packing shows up only for GEMMs
+/// outside the scoring path.
+std::string GemmSplitJson(const std::vector<double>& micros) {
+  std::ostringstream json;
+  for (size_t i = 0; i < micros.size(); ++i) {
+    json << (i > 0 ? ", " : "") << "\"gemm_" << kGemmSplitParts[i]
+         << "_us\": " << FormatFixed(micros[i], 1);
+  }
+  return json.str();
+}
+
 /// Measures GEMM GFLOP/s and end-to-end docs/s of the dense-NN, hybrid-NN
 /// and tree-ensemble rungs at each requested thread count and writes a
 /// scaling JSON report — the multi-core counterpart of the paper's
@@ -2239,20 +2265,9 @@ int CmdBenchScaling(const Args& args) {
   if (obs_spans) {
     obs::MetricsRegistry::Global().SetEnabled(false);
     obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
-    const double kernel_us =
-        registry.GetHistogram("mm.gemm.kernel_us").SumMicros();
-    const double pack_us =
-        registry.GetHistogram("mm.gemm.pack_a_us").SumMicros() +
-        registry.GetHistogram("mm.gemm.pack_b_us").SumMicros();
-    const double gemm_us =
-        registry.GetHistogram("mm.gemm.total_us").SumMicros();
     json << ",\n  \"obs\": {\"gemm_calls\": "
-         << registry.GetCounter("mm.gemm.calls").Value()
-         << ", \"gemm_total_us\": " << FormatFixed(gemm_us, 1)
-         << ", \"gemm_kernel_us\": " << FormatFixed(kernel_us, 1)
-         << ", \"gemm_pack_us\": " << FormatFixed(pack_us, 1)
-         << ", \"gemm_pack_share\": "
-         << FormatFixed(gemm_us > 0.0 ? pack_us / gemm_us : 0.0, 3)
+         << registry.GetCounter("mm.gemm.calls").Value() << ", "
+         << GemmSplitJson(GemmSplitMicros(registry))
          << ", \"stats_file\": \"" << obs_out << "\"}";
   }
   json << "\n}\n";
@@ -2413,6 +2428,7 @@ int CmdStats(const Args& args) {
 
   // The exported workload: a few instrumented passes so every per-stage
   // histogram has samples.
+  std::vector<double> gemm_split = GemmSplitMicros(registry);
   registry.SetEnabled(true);
   for (int pass = 0; pass < 3; ++pass) {
     for (const forest::DocumentScorer* scorer : scorers) {
@@ -2420,6 +2436,14 @@ int CmdStats(const Args& args) {
     }
   }
   registry.SetEnabled(false);
+  // The GEMM split of the scoring workload alone (the overhead gate's
+  // microbench above packs A per call).
+  const std::vector<double> gemm_after = GemmSplitMicros(registry);
+  for (size_t i = 0; i < gemm_split.size(); ++i) {
+    gemm_split[i] = gemm_after[i] - gemm_split[i];
+  }
+  std::fprintf(stderr, "scoring gemm split: {%s}\n",
+               GemmSplitJson(gemm_split).c_str());
 
   const std::string json = registry.ToJson();
   const std::string error = obs::CheckJsonSyntax(json);
