@@ -1,45 +1,14 @@
 // dnlr command-line tool: train, distill, prune, score and evaluate ranking
-// models on LETOR-format data without writing any C++.
+// models on LETOR-format data, and benchmark and gate the serving stack,
+// without writing any C++. Commands: gen, train-forest, distill, score,
+// evaluate, predict-time, validate, serve-bench and soak-bench (see
+// serve_bench.cc), bundle pack/unpack/verify/bench, bench-scaling, stats.
 //
-// Subcommands:
-//   gen           generate a synthetic LETOR file (MSN30K- or Istella-like)
-//   train-forest  train a LambdaMART ensemble (optionally tuned)
-//   distill       distill (and optionally first-layer-prune) a student MLP
-//   score         score a LETOR file with a saved model
-//   evaluate      NDCG@10 / NDCG / MAP of a saved model on a LETOR file
-//   predict-time  estimate an architecture's scoring time analytically
-//   validate      run the deep invariant validators on a model / data file
-//   serve-bench   load-test the deadline-aware scoring service and emit a
-//                 latency-percentile / rung-distribution JSON report; with
-//                 --reload-every N, hot-swap a model bundle into the engine
-//                 under load instead; with --shards N, run the sharded
-//                 multi-tenant isolation soak (abusive tenant + one faulted
-//                 shard) and emit out/serve_shard_ci.json with SLO gates
-//   soak-bench    minutes-scale traffic replay against the serving engine:
-//                 Zipfian query popularity, mixed candidate-set sizes,
-//                 diurnal + burst load shaping, a hot score cache, periodic
-//                 golden-gated hot reloads (with poisoned-bundle rejection
-//                 probes) and a mid-soak fault episode; streams a LETOR file
-//                 through the serve path and gates on obs-derived SLOs
-//                 (per-rung p99, shed rate, cache hit rate, swap
-//                 losslessness, cache-on/off bitwise parity)
-//   bundle        pack / unpack / verify the single-file model bundle
-//                 (teacher + student + normalizer + serve rungs, versioned
-//                 and CRC-checksummed)
-//   bench-scaling measure docs/s and GEMM GFLOP/s of the dense, hybrid and
-//                 tree rungs across thread counts and emit a scaling JSON
-//                 report (the multi-core counterpart of the paper's
-//                 single-core efficiency tables)
-//   stats         exercise the instrumented scoring stack and export the
-//                 metrics registry as JSON; also the CI entry point for the
-//                 instrumentation guarantees (--check: bitwise-identical
-//                 scores with spans on/off; --max-overhead-pct: GEMM span
-//                 overhead gate; --in: validate an exported report)
-//
-// Run `dnlr_cli <subcommand>` with no further arguments for usage.
+// Every command accepts only the flags its usage line lists; anything else
+// is a usage error (exit 2). Run `dnlr_cli` with no arguments for usage;
+// README.md describes each command.
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -49,12 +18,9 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
-#include <future>
-#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bundle/bundle.h"
@@ -63,12 +29,10 @@
 #include "common/rng.h"
 #include "common/string_util.h"
 #include "common/thread_pool.h"
-#include "core/cascade.h"
 #include "core/pipeline.h"
 #include "core/timing.h"
 #include "forest/parallel_scorer.h"
 #include "data/letor_io.h"
-#include "data/letor_stream.h"
 #include "data/synthetic.h"
 #include "data/validate.h"
 #include "forest/validate.h"
@@ -83,85 +47,13 @@
 #include "nn/scorer.h"
 #include "obs/metrics.h"
 #include "predict/dense_predictor.h"
-#include "predict/drift.h"
 #include "predict/network_time.h"
 #include "predict/sparse_predictor.h"
 #include "prune/magnitude.h"
-#include "replay/workload.h"
-#include "replay/zipf.h"
-#include "serve/engine.h"
-#include "serve/fault_injection.h"
-#include "serve/latency.h"
-#include "serve/router.h"
-#include "serve/score_cache.h"
-#include "serve/scorer.h"
-#include "serve/servable.h"
+#include "serve_bench.h"
 
 namespace dnlr::cli {
 namespace {
-
-/// Minimal --flag value parser: every option is "--name value".
-class Args {
- public:
-  Args(int argc, char** argv, int first) {
-    for (int i = first; i + 1 < argc; i += 2) {
-      if (std::strncmp(argv[i], "--", 2) != 0) {
-        std::fprintf(stderr, "expected --flag, got '%s'\n", argv[i]);
-        std::exit(2);
-      }
-      values_[argv[i] + 2] = argv[i + 1];
-    }
-  }
-
-  std::string Get(const std::string& key, const std::string& fallback) const {
-    const auto it = values_.find(key);
-    return it != values_.end() ? it->second : fallback;
-  }
-  std::string Require(const std::string& key) const {
-    const auto it = values_.find(key);
-    if (it == values_.end()) {
-      std::fprintf(stderr, "missing required --%s\n", key.c_str());
-      std::exit(2);
-    }
-    return it->second;
-  }
-  double GetDouble(const std::string& key, double fallback) const {
-    const auto it = values_.find(key);
-    return it != values_.end() ? std::atof(it->second.c_str()) : fallback;
-  }
-  int GetInt(const std::string& key, int fallback) const {
-    const auto it = values_.find(key);
-    return it != values_.end() ? std::atoi(it->second.c_str()) : fallback;
-  }
-  bool Has(const std::string& key) const { return values_.count(key) > 0; }
-
- private:
-  std::map<std::string, std::string> values_;
-};
-
-/// Fixed-precision double for JSON output (never scientific notation).
-std::string FormatFixed(double value, int precision) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.*f", precision, value);
-  return buf;
-}
-
-/// Creates the directory a generated artifact lands in. Bench output lives
-/// under out/ (gitignored) rather than next to the bench sources, so a
-/// fresh checkout needs the directory created on first run.
-bool EnsureParentDir(const std::string& path) {
-  const std::filesystem::path parent =
-      std::filesystem::path(path).parent_path();
-  if (parent.empty()) return true;
-  std::error_code ec;
-  std::filesystem::create_directories(parent, ec);
-  if (ec) {
-    std::fprintf(stderr, "cannot create directory %s: %s\n",
-                 parent.string().c_str(), ec.message().c_str());
-    return false;
-  }
-  return true;
-}
 
 /// Parses a comma-separated thread-count list like "1,2,4". Exits on junk.
 std::vector<uint32_t> ParseThreadList(const std::string& csv) {
@@ -204,11 +96,7 @@ int CmdGen(const Args& args) {
   config.seed = args.GetInt("seed", 42);
   const data::Dataset dataset = data::GenerateSynthetic(config);
   const std::string out = args.Require("out");
-  const Status status = data::WriteLetorFile(dataset, out);
-  if (!status.ok()) {
-    std::fprintf(stderr, "%s\n", status.ToString().c_str());
-    return 1;
-  }
+  if (Failed(data::WriteLetorFile(dataset, out))) return 1;
   std::printf("wrote %u docs / %u queries / %u features to %s\n",
               dataset.num_docs(), dataset.num_queries(),
               dataset.num_features(), out.c_str());
@@ -256,11 +144,7 @@ int CmdTrainForest(const Args& args) {
   }
 
   const std::string out = args.Require("out");
-  const Status status = model.SaveToFile(out);
-  if (!status.ok()) {
-    std::fprintf(stderr, "%s\n", status.ToString().c_str());
-    return 1;
-  }
+  if (Failed(model.SaveToFile(out))) return 1;
   std::printf("saved %u trees (max %u leaves) to %s\n", model.num_trees(),
               model.MaxLeaves(), out.c_str());
   return 0;
@@ -269,16 +153,10 @@ int CmdTrainForest(const Args& args) {
 int CmdDistill(const Args& args) {
   const data::Dataset train = LoadLetorOrDie(args.Require("train"));
   auto teacher = gbdt::Ensemble::LoadFromFile(args.Require("teacher"));
-  if (!teacher.ok()) {
-    std::fprintf(stderr, "%s\n", teacher.status().ToString().c_str());
-    return 1;
-  }
+  if (Failed(teacher.status())) return 1;
   auto arch =
       predict::Architecture::Parse(args.Require("arch"), train.num_features());
-  if (!arch.ok()) {
-    std::fprintf(stderr, "%s\n", arch.status().ToString().c_str());
-    return 1;
-  }
+  if (Failed(arch.status())) return 1;
 
   core::PipelineConfig config;
   config.distill.epochs = args.GetInt("epochs", 40);
@@ -298,16 +176,20 @@ int CmdDistill(const Args& args) {
           : pipeline.DistillDense(*arch, train, *teacher);
 
   const std::string out = args.Require("out");
-  const Status status = model.mlp.SaveToFile(out);
-  if (!status.ok()) {
-    std::fprintf(stderr, "%s\n", status.ToString().c_str());
-    return 1;
-  }
+  if (Failed(model.mlp.SaveToFile(out))) return 1;
   std::printf("saved %s student to %s (first layer %.1f%% sparse)\n",
               arch->ToString().c_str(), out.c_str(),
               100.0 * model.first_layer_sparsity);
   return 0;
 }
+
+/// A forest scorer that owns the ensemble it was built from.
+template <typename Scorer, typename... Extra>
+struct OwningScorer : Scorer {
+  OwningScorer(gbdt::Ensemble* e, Extra... extra)
+      : Scorer(*e, extra...), model(e) {}
+  std::unique_ptr<gbdt::Ensemble> model;
+};
 
 /// Loads either an ensemble or an MLP and builds the matching scorer.
 /// Returns nullptr on failure. The normalizer is fitted on `data` when an
@@ -326,52 +208,30 @@ std::unique_ptr<forest::DocumentScorer> MakeScorer(
 
   if (first_word == "ensemble") {
     auto model = gbdt::Ensemble::LoadFromFile(model_path);
-    if (!model.ok()) {
-      std::fprintf(stderr, "%s\n", model.status().ToString().c_str());
-      return nullptr;
-    }
-    // Keep the model alive alongside the scorer: each Owner wrapper below
-    // adopts the heap ensemble after its scorer base (which copies or
-    // retains it) is constructed.
+    if (Failed(model.status())) return nullptr;
+    // The scorer owns the heap ensemble it was built from (OwningScorer
+    // adopts it after the scorer base, which copies or retains it).
     auto* owned = new gbdt::Ensemble(std::move(model).value());
+    const uint32_t f = dataset.num_features();
     if (owned->MaxLeaves() > 64 || engine == "wide") {
-      struct Owner : forest::WideQuickScorer {
-        Owner(gbdt::Ensemble* e, uint32_t f)
-            : forest::WideQuickScorer(*e, f), model(e) {}
-        std::unique_ptr<gbdt::Ensemble> model;
-      };
-      return std::make_unique<Owner>(owned, dataset.num_features());
+      return std::make_unique<OwningScorer<forest::WideQuickScorer, uint32_t>>(
+          owned, f);
     }
     if (engine == "naive") {
-      struct Owner : forest::NaiveTraversalScorer {
-        explicit Owner(gbdt::Ensemble* e)
-            : forest::NaiveTraversalScorer(*e), model(e) {}
-        std::unique_ptr<gbdt::Ensemble> model;
-      };
-      return std::make_unique<Owner>(owned);
+      return std::make_unique<OwningScorer<forest::NaiveTraversalScorer>>(
+          owned);
     }
     if (engine == "vqs") {
-      struct Owner : forest::VectorizedQuickScorer {
-        Owner(gbdt::Ensemble* e, uint32_t f)
-            : forest::VectorizedQuickScorer(*e, f), model(e) {}
-        std::unique_ptr<gbdt::Ensemble> model;
-      };
-      return std::make_unique<Owner>(owned, dataset.num_features());
+      return std::make_unique<
+          OwningScorer<forest::VectorizedQuickScorer, uint32_t>>(owned, f);
     }
-    struct Owner : forest::QuickScorer {
-      Owner(gbdt::Ensemble* e, uint32_t f)
-          : forest::QuickScorer(*e, f), model(e) {}
-      std::unique_ptr<gbdt::Ensemble> model;
-    };
-    return std::make_unique<Owner>(owned, dataset.num_features());
+    return std::make_unique<OwningScorer<forest::QuickScorer, uint32_t>>(owned,
+                                                                         f);
   }
 
   if (first_word == "mlp") {
     auto model = nn::Mlp::LoadFromFile(model_path);
-    if (!model.ok()) {
-      std::fprintf(stderr, "%s\n", model.status().ToString().c_str());
-      return nullptr;
-    }
+    if (Failed(model.status())) return nullptr;
     normalizer->Fit(dataset);
     if (engine == "hybrid" || model->layer(0).weight.Sparsity() >= 0.5) {
       return std::make_unique<nn::HybridNeuralScorer>(*model, normalizer);
@@ -434,10 +294,7 @@ int CmdEvaluate(const Args& args) {
 int CmdPredictTime(const Args& args) {
   const uint32_t features = args.GetInt("features", 136);
   auto arch = predict::Architecture::Parse(args.Require("arch"), features);
-  if (!arch.ok()) {
-    std::fprintf(stderr, "%s\n", arch.status().ToString().c_str());
-    return 1;
-  }
+  if (Failed(arch.status())) return 1;
   const uint32_t batch = args.GetInt("batch", 64);
   const double sparsity = args.GetDouble("sparsity", 0.95);
 
@@ -459,1498 +316,6 @@ int CmdPredictTime(const Args& args) {
   std::printf("pruned (no L1)      %.3f us/doc\n", estimate.pruned_us_per_doc);
   std::printf("hybrid @ %.0f%% L1    %.3f us/doc\n", 100.0 * sparsity,
               estimate.hybrid_us_per_doc);
-  return 0;
-}
-
-/// Hot-reload load test (serve-bench --reload-every N): packs a freshly
-/// trained teacher + random student into a model bundle, serves it through
-/// a Servable-backed engine, and every N requests re-loads the bundle from
-/// disk and atomically SwapModels it in while traffic keeps flowing. Every
-/// swap loads the same bundle, so the golden-score validation gate demands
-/// bitwise-identical scores across generations; the JSON report carries the
-/// swap counters, the model-version span observed on responses, and the
-/// failed-request count (which must be zero: a hot swap may never drop
-/// traffic).
-///
-/// With --binary 1 the reloads come from a v2 binary bundle (mmap load
-/// path) while the golden scores are captured from the text-loaded initial
-/// generation — the gate then directly proves text→binary conversion and
-/// the zero-copy load path are bitwise score-lossless under live traffic.
-int CmdServeBenchReload(const Args& args) {
-  const auto features = static_cast<uint32_t>(args.GetInt("features", 64));
-  const auto queries = static_cast<uint32_t>(args.GetInt("queries", 60));
-  const int requests = args.GetInt("requests", 200);
-  const int reload_every = args.GetInt("reload-every", 25);
-  const auto deadline_us =
-      static_cast<uint64_t>(args.GetInt("deadline-us", 20000));
-  const auto workers = static_cast<uint32_t>(args.GetInt("workers", 4));
-  const auto seed = static_cast<uint64_t>(args.GetInt("seed", 42));
-  const std::string out = args.Get("out", "out/serve_reload.json");
-  const std::string bundle_path =
-      args.Get("bundle", "out/serve_reload.bundle");
-  const bool binary = args.GetInt("binary", 0) != 0;
-
-  data::SyntheticConfig config = data::SyntheticConfig::MsnLike(1.0);
-  config.num_queries = queries;
-  config.num_features = features;
-  config.seed = seed;
-  const data::Dataset dataset = data::GenerateSynthetic(config);
-  std::fprintf(stderr, "corpus: %u docs / %u queries / %u features\n",
-               dataset.num_docs(), dataset.num_queries(),
-               dataset.num_features());
-
-  gbdt::BoosterConfig bc;
-  bc.num_trees = static_cast<uint32_t>(args.GetInt("trees", 20));
-  bc.num_leaves = 16;
-  std::fprintf(stderr, "training %u-tree teacher...\n", bc.num_trees);
-  gbdt::Booster booster(bc);
-  const gbdt::Ensemble teacher = booster.TrainLambdaMart(dataset, nullptr);
-  const predict::Architecture student_arch(features, {64, 32});
-  const nn::Mlp student(student_arch, seed + 1);
-  data::ZNormalizer normalizer;
-  normalizer.Fit(dataset);
-
-  // Measured rung costs, clamped non-increasing as the ladder (and the
-  // bundle's rung grammar) require.
-  serve::ServableOptions sopt;
-  sopt.num_features = features;
-  gbdt::Ensemble subset(teacher.base_score());
-  const uint32_t subset_trees =
-      std::max(1u, teacher.num_trees() / sopt.subset_tree_divisor);
-  for (uint32_t t = 0; t < subset_trees; ++t) subset.AddTree(teacher.tree(t));
-  const forest::QuickScorer subset_qs(subset, features);
-  const nn::NeuralScorer student_scorer(student, &normalizer);
-  const double student_cost =
-      core::MeasureScorerMicrosPerDocSynthetic(student_scorer, 2048, features);
-  const double subset_cost =
-      core::MeasureScorerMicrosPerDocSynthetic(subset_qs, 2048, features);
-  double costs[3] = {
-      student_cost,
-      serve::PredictCascadeMicrosPerDoc(subset_cost, student_cost,
-                                        sopt.cascade_rescore_fraction),
-      subset_cost};
-  for (int i = 1; i < 3; ++i) costs[i] = std::min(costs[i], costs[i - 1]);
-
-  bundle::RungConfig rungs;
-  rungs.rungs = {{"student", "student", costs[0]},
-                 {"cascade", "cascade", costs[1]},
-                 {"forest-subset", "teacher-subset", costs[2]}};
-  bundle::ModelBundle pack;
-  Status status = pack.SetTeacher(teacher);
-  if (status.ok()) status = pack.SetStudent(student);
-  if (status.ok()) status = pack.SetNormalizer(normalizer);
-  if (status.ok()) status = pack.SetRungs(rungs);
-  if (status.ok() && !EnsureParentDir(bundle_path)) return 1;
-  if (status.ok()) status = pack.SaveToFile(bundle_path);
-  // The binary twin the reloads come from; the initial generation (and the
-  // golden scores) still come from the text bundle, so the swap gate
-  // compares binary-loaded scores against text-loaded ones bitwise.
-  std::string reload_path = bundle_path;
-  if (binary) {
-    reload_path = bundle_path + ".bin";
-    if (status.ok()) {
-      status = pack.SaveToFile(reload_path, bundle::BundleFormat::kBinary);
-    }
-  }
-  if (!status.ok()) {
-    std::fprintf(stderr, "%s\n", status.ToString().c_str());
-    return 1;
-  }
-  std::fprintf(stderr, "packed bundle %s%s\n", bundle_path.c_str(),
-               binary ? " (+ binary twin)" : "");
-
-  auto servable = serve::Servable::LoadFromFile(bundle_path, sopt);
-  if (!servable.ok()) {
-    std::fprintf(stderr, "%s\n", servable.status().ToString().c_str());
-    return 1;
-  }
-  std::shared_ptr<const serve::Servable> initial(std::move(servable).value());
-  auto ladder = serve::Servable::LadderHandle(initial);
-  for (size_t i = 0; i < ladder->num_rungs(); ++i) {
-    std::fprintf(stderr, "rung %zu %-14s %8.3f us/doc\n", i,
-                 ladder->rung(i).name.c_str(),
-                 ladder->rung(i).predicted_us_per_doc);
-  }
-
-  // The swap gate's golden probe: scores captured on the first generation;
-  // every candidate must reproduce them bitwise before it may serve.
-  const float* probe_docs = dataset.Row(dataset.QueryBegin(0));
-  const uint32_t probe_count = std::min(dataset.QuerySize(0), 64u);
-  auto golden =
-      serve::CaptureGoldenScores(*ladder, probe_docs, probe_count, features);
-  if (!golden.ok()) {
-    std::fprintf(stderr, "%s\n", golden.status().ToString().c_str());
-    return 1;
-  }
-
-  serve::ServingConfig sc;
-  sc.num_workers = workers;
-  sc.queue_capacity = static_cast<uint32_t>(args.GetInt("queue", 128));
-  serve::ServingEngine engine(std::move(ladder), sc);
-  const serve::ServingEngine::SwapValidator gate =
-      [&](const serve::DegradationLadder& candidate) {
-        return serve::RunGoldenSmoke(candidate, probe_docs, probe_count,
-                                     features, &*golden);
-      };
-
-  std::fprintf(stderr, "serving %d requests, reloading every %d...\n",
-               requests, reload_every);
-  std::vector<std::future<serve::ServeResponse>> inflight;
-  std::vector<serve::ServeResponse> responses;
-  responses.reserve(static_cast<size_t>(requests));
-  const size_t window = static_cast<size_t>(workers) * 4;
-  uint64_t reload_failures = 0;
-  for (int r = 0; r < requests; ++r) {
-    const uint32_t q = static_cast<uint32_t>(r) % dataset.num_queries();
-    serve::ServeRequest request;
-    request.docs = dataset.Row(dataset.QueryBegin(q));
-    request.count = dataset.QuerySize(q);
-    request.stride = dataset.num_features();
-    request.deadline =
-        serve::Deadline::AfterMicros(engine.clock(), deadline_us);
-    inflight.push_back(engine.Submit(request));
-    if (inflight.size() >= window) {
-      responses.push_back(inflight.front().get());
-      inflight.erase(inflight.begin());
-    }
-    if ((r + 1) % reload_every == 0) {
-      auto candidate = serve::Servable::LoadFromFile(reload_path, sopt);
-      if (!candidate.ok()) {
-        std::fprintf(stderr, "reload: %s\n",
-                     candidate.status().ToString().c_str());
-        ++reload_failures;
-        continue;
-      }
-      const Status swapped = engine.SwapModel(
-          serve::Servable::LadderHandle(std::move(candidate).value()), gate);
-      if (!swapped.ok()) {
-        std::fprintf(stderr, "swap: %s\n", swapped.ToString().c_str());
-        ++reload_failures;
-      }
-    }
-  }
-  for (auto& future : inflight) responses.push_back(future.get());
-  engine.Stop();
-
-  const serve::ServeCountersSnapshot counters = engine.counters().Snapshot();
-  uint64_t failed_requests = 0;
-  uint64_t min_version = ~0ull;
-  uint64_t max_version = 0;
-  std::vector<double> ok_latencies;
-  for (const auto& resp : responses) {
-    if (!resp.status.ok()) {
-      ++failed_requests;
-      continue;
-    }
-    ok_latencies.push_back(static_cast<double>(resp.total_micros));
-    min_version = std::min(min_version, resp.model_version);
-    max_version = std::max(max_version, resp.model_version);
-  }
-
-  std::ostringstream json;
-  json << "{\n";
-  json << "  \"benchmark\": \"serve-bench-reload\",\n";
-  json << "  \"config\": {\"requests\": " << requests
-       << ", \"reload_every\": " << reload_every
-       << ", \"deadline_us\": " << deadline_us
-       << ", \"workers\": " << workers << ", \"seed\": " << seed
-       << ", \"bundle\": \"" << bundle_path << "\", \"binary\": "
-       << (binary ? 1 : 0) << "},\n";
-  json << "  \"swaps\": {\"attempted\": " << counters.swaps_attempted
-       << ", \"completed\": " << counters.swaps_completed
-       << ", \"rejected\": " << counters.swaps_rejected
-       << ", \"reload_failures\": " << reload_failures
-       << ", \"final_model_version\": " << engine.model_version()
-       << ", \"min_response_version\": "
-       << (max_version == 0 ? 0 : min_version)
-       << ", \"max_response_version\": " << max_version << "},\n";
-  json << "  \"overall\": {\"ok\": " << counters.ok
-       << ", \"failed_requests\": " << failed_requests
-       << ", \"shed_queue_full\": " << counters.shed_queue_full
-       << ", \"shed_deadline\": " << counters.shed_deadline
-       << ", \"deadline_exceeded\": " << counters.deadline_exceeded
-       << ", \"degraded\": " << counters.degraded
-       << ", \"p50_us\": " << FormatFixed(serve::Percentile(ok_latencies, 50), 1)
-       << ", \"p99_us\": " << FormatFixed(serve::Percentile(ok_latencies, 99), 1)
-       << "}\n";
-  json << "}\n";
-
-  if (!EnsureParentDir(out)) return 1;
-  std::ofstream file(out);
-  file << json.str();
-  if (!file) {
-    std::fprintf(stderr, "failed to write %s\n", out.c_str());
-    return 1;
-  }
-  std::printf("%s", json.str().c_str());
-  std::printf("wrote %s\n", out.c_str());
-
-  // Gates: swaps must actually happen, none may be rejected (it is the
-  // same bundle every time), and no request may fail during the swaps.
-  if (counters.swaps_completed == 0 || counters.swaps_rejected != 0 ||
-      reload_failures != 0 || failed_requests != 0) {
-    std::fprintf(stderr,
-                 "FAIL: completed=%llu rejected=%llu reload_failures=%llu "
-                 "failed_requests=%llu\n",
-                 static_cast<unsigned long long>(counters.swaps_completed),
-                 static_cast<unsigned long long>(counters.swaps_rejected),
-                 static_cast<unsigned long long>(reload_failures),
-                 static_cast<unsigned long long>(failed_requests));
-    return 1;
-  }
-  std::printf("reload gate ok: %llu swaps, %zu responses, 0 failures\n",
-              static_cast<unsigned long long>(counters.swaps_completed),
-              responses.size());
-  return 0;
-}
-
-/// One soak phase: every tenant replays Zipf-skewed traffic from its own
-/// thread until the phase deadline; the abusive tenant (if any) ignores
-/// pacing and hammers as fast as the router answers it — subject only to a
-/// tiny bounded backoff when the router sheds it, so "abusive" means
-/// saturating its quota, not busy-burning a CPU core generating rejections.
-void RunTenantTraffic(serve::ShardedRouter& router, const data::Dataset& data,
-                      const replay::ZipfSampler& zipf, uint64_t tenants,
-                      int64_t abusive_tenant, uint64_t pace_us,
-                      uint64_t deadline_us, uint64_t duration_ms,
-                      uint64_t seed) {
-  std::atomic<bool> stop{false};
-  std::vector<std::thread> threads;
-  threads.reserve(tenants);
-  for (uint64_t tenant = 0; tenant < tenants; ++tenant) {
-    threads.emplace_back([&, tenant] {
-      dnlr::Rng rng(seed ^ (tenant * 0x9E3779B97F4A7C15ull));
-      const bool paced = static_cast<int64_t>(tenant) != abusive_tenant;
-      // Exponential 25 -> 200 us backoff on shed responses, reset by any
-      // non-shed answer. The cap stays far under 1/quota-rate (2 ms at the
-      // default 500/s), so a quota-limited tenant still attempts thousands
-      // of requests per second and the quota-rejection gates keep firing —
-      // it just stops spinning a core when every answer is "go away".
-      constexpr uint64_t kShedBackoffStartUs = 25;
-      constexpr uint64_t kShedBackoffCapUs = 200;
-      uint64_t shed_backoff_us = 0;
-      // Relaxed stop flag: plain shutdown signal; the join below orders
-      // everything the threads wrote.
-      while (!stop.load(std::memory_order_relaxed)) {
-        const uint32_t q = zipf.Sample(rng);
-        const serve::ShardedRouter::Response resp = router.ScoreSync(
-            tenant, data.Row(data.QueryBegin(q)), data.QuerySize(q),
-            data.num_features(), deadline_us);
-        if (resp.serve.status.code() == StatusCode::kResourceExhausted) {
-          shed_backoff_us =
-              shed_backoff_us == 0
-                  ? kShedBackoffStartUs
-                  : std::min(shed_backoff_us * 2, kShedBackoffCapUs);
-          std::this_thread::sleep_for(
-              std::chrono::microseconds(shed_backoff_us));
-        } else {
-          shed_backoff_us = 0;
-        }
-        if (paced && pace_us > 0) {
-          std::this_thread::sleep_for(std::chrono::microseconds(pace_us));
-        }
-      }
-    });
-  }
-  std::this_thread::sleep_for(std::chrono::milliseconds(duration_ms));
-  stop.store(true, std::memory_order_relaxed);
-  for (std::thread& thread : threads) thread.join();
-}
-
-/// Multi-tenant isolation soak (`serve-bench --shards N`): a ShardedRouter
-/// over N fault-injected shards, M tenant threads replaying Zipfian traffic,
-/// one abusive tenant hammering its quota, and a correlated-burst outage on
-/// one shard mid-soak (shipped and later rolled back via SwapModelOnShard).
-/// Emits out/serve_shard_ci.json and exits 1 when any isolation gate fails:
-///   - the abusive tenant is quota-rejected at its configured rate and
-///     admitted no faster than rate x duration + burst (with slack);
-///   - every other tenant's p99 stays within --p99-ratio of its no-abuse
-///     baseline (or under the absolute --p99-floor-us) and its error rate
-///     stays under --max-error-rate;
-///   - the faulted shard quarantines and is probe-readmitted at least once;
-///   - no model swap fails.
-int CmdServeBenchSharded(const Args& args) {
-  const auto shards = static_cast<size_t>(args.GetInt("shards", 4));
-  const auto tenants = static_cast<uint64_t>(args.GetInt("tenants", 8));
-  const int64_t abusive_tenant = args.GetInt("abusive-tenant", 0);
-  const auto soak_ms = static_cast<uint64_t>(args.GetInt("soak-ms", 2000));
-  const auto baseline_ms = static_cast<uint64_t>(
-      args.GetInt("baseline-ms", static_cast<int>(std::max<uint64_t>(
-                                     500, soak_ms / 4))));
-  const auto pace_us = static_cast<uint64_t>(args.GetInt("pace-us", 1000));
-  const auto deadline_us =
-      static_cast<uint64_t>(args.GetInt("deadline-us", 50'000));
-  const double quota_rate = args.GetDouble("quota-rate", 500.0);
-  const double quota_burst = args.GetDouble("quota-burst", 50.0);
-  const double fault_rate = args.GetDouble("fault-rate", 0.2);
-  // Defaults chosen so the outage dominates the faulted window: at trigger
-  // 0.05 and length 300 about 94% of the shard's batches during the faulty
-  // generation land inside a burst, which is what forces quarantine; the
-  // rollback swap then lets the half-open probes readmit the shard.
-  const double burst_trigger = args.GetDouble("burst-trigger", 0.05);
-  const auto burst_len =
-      static_cast<uint32_t>(args.GetInt("burst-len", 300));
-  const auto features = static_cast<uint32_t>(args.GetInt("features", 64));
-  const auto queries = static_cast<uint32_t>(args.GetInt("queries", 60));
-  const auto workers = static_cast<uint32_t>(args.GetInt("workers", 2));
-  const auto seed = static_cast<uint64_t>(args.GetInt("seed", 42));
-  const double p99_ratio = args.GetDouble("p99-ratio", 1.5);
-  const double p99_floor_us = args.GetDouble("p99-floor-us", 5000.0);
-  const double max_error_rate = args.GetDouble("max-error-rate", 0.01);
-  const double admit_slack = args.GetDouble("admit-slack", 2.0);
-  const std::string out = args.Get("out", "out/serve_shard_ci.json");
-  if (shards < 2 || tenants < 2) {
-    std::fprintf(stderr, "--shards and --tenants must both be >= 2\n");
-    return 2;
-  }
-
-  // Synthetic corpus + per-shard model generations: each shard serves its
-  // own small MLP (a distinct generation), all sharing one normalizer and a
-  // tiny shared floor rung.
-  data::SyntheticConfig config = data::SyntheticConfig::MsnLike(1.0);
-  config.num_queries = queries;
-  config.num_features = features;
-  config.seed = seed;
-  const data::Dataset dataset = data::GenerateSynthetic(config);
-  data::ZNormalizer normalizer;
-  normalizer.Fit(dataset);
-  const replay::ZipfSampler zipf(dataset.num_queries(),
-                                 args.GetDouble("zipf-exponent", 1.1));
-
-  const predict::Architecture strong_arch(features, {64, 32});
-  const predict::Architecture floor_arch(features, {16});
-  std::vector<std::unique_ptr<nn::Mlp>> strong_mlps;
-  std::vector<std::unique_ptr<nn::NeuralScorer>> strong_scorers;
-  for (size_t s = 0; s < shards; ++s) {
-    strong_mlps.push_back(std::make_unique<nn::Mlp>(strong_arch, seed + s));
-    strong_scorers.push_back(
-        std::make_unique<nn::NeuralScorer>(*strong_mlps[s], &normalizer));
-  }
-  const nn::Mlp floor_mlp(floor_arch, seed + 1000);
-  const nn::NeuralScorer floor_scorer(floor_mlp, &normalizer);
-
-  // Nominal rung costs: with 50 ms budgets rung choice is never the
-  // bottleneck here, and fixed costs keep the soak's setup instant.
-  const double strong_cost = 4.0;
-  const double floor_cost = 0.5;
-
-  // Every rung of every shard goes through a FaultInjectingScorer. The
-  // clean generation's injector is a pass-through (all probabilities 0);
-  // the faulted generation adds i.i.d. transient faults on the strong rung
-  // plus a correlated burst schedule SHARED by both rungs — one outage
-  // domain, so a triggered burst takes the whole shard down (what the
-  // quarantine lifecycle exists for).
-  std::vector<std::unique_ptr<serve::FaultInjectingScorer>> injectors;
-  auto make_clean_ladder = [&](size_t s) {
-    serve::FaultInjectionConfig quiet;
-    quiet.seed = seed + s;
-    injectors.push_back(std::make_unique<serve::FaultInjectingScorer>(
-        strong_scorers[s].get(), quiet));
-    auto ladder = std::make_shared<serve::DegradationLadder>();
-    Status status = ladder->AddRung("dense-nn", injectors.back().get(),
-                                    strong_cost);
-    if (status.ok()) {
-      injectors.push_back(std::make_unique<serve::FaultInjectingScorer>(
-          &floor_scorer, quiet));
-      status = ladder->AddRung("tiny-nn", injectors.back().get(), floor_cost);
-    }
-    if (!status.ok()) {
-      std::fprintf(stderr, "%s\n", status.ToString().c_str());
-      std::exit(1);
-    }
-    return ladder;
-  };
-
-  std::vector<std::shared_ptr<const serve::DegradationLadder>> clean_ladders;
-  for (size_t s = 0; s < shards; ++s) {
-    clean_ladders.push_back(make_clean_ladder(s));
-  }
-
-  serve::RouterConfig rc;
-  rc.health_window_micros = 100'000;
-  rc.min_window_requests = 8;
-  rc.drain_micros = 5'000;
-  rc.quarantine_micros = 10'000;
-  rc.probe_successes_to_readmit = 3;
-  serve::ServingConfig sc;
-  sc.num_workers = workers;
-  sc.queue_capacity = static_cast<uint32_t>(args.GetInt("queue", 64));
-
-  // ---- Phase 1: no-abuse baseline. A separate router instance (its own
-  // registry namespace) with clean shards and fully paced traffic gives
-  // each tenant the p99 its soak numbers are judged against.
-  std::fprintf(stderr,
-               "baseline: %zu shards / %llu tenants, %llu ms paced...\n",
-               shards, static_cast<unsigned long long>(tenants),
-               static_cast<unsigned long long>(baseline_ms));
-  std::vector<double> baseline_p99(tenants, 0.0);
-  {
-    serve::ShardedRouter baseline(clean_ladders, sc, rc);
-    RunTenantTraffic(baseline, dataset, zipf, tenants, /*abusive_tenant=*/-1,
-                     pace_us, deadline_us, baseline_ms, seed);
-    baseline.Stop();
-    for (uint64_t t = 0; t < tenants; ++t) {
-      baseline_p99[t] = baseline.TenantSloSnapshot(t).p99_us;
-    }
-  }
-
-  // ---- Phase 2: the soak. The abusive tenant gets a tight quota and
-  // ignores pacing; one shard (the primary of a well-behaved tenant, so
-  // failover is exercised) is swapped to a burst-faulty model generation
-  // at 20% of the soak and rolled back at 70%.
-  serve::ShardedRouter router(clean_ladders, sc, rc);
-  router.SetTenantQuota(static_cast<uint64_t>(abusive_tenant),
-                        serve::TenantQuota{quota_rate, quota_burst});
-  uint64_t victim_tenant = 0;
-  for (uint64_t t = 0; t < tenants; ++t) {
-    if (static_cast<int64_t>(t) != abusive_tenant) {
-      victim_tenant = t;
-      break;
-    }
-  }
-  const uint32_t faulted = router.PrimaryShardFor(victim_tenant);
-
-  serve::FaultInjectionConfig faulty_config;
-  faulty_config.transient_fault_probability = fault_rate;
-  faulty_config.seed = seed + 7777;
-  auto burst = std::make_shared<serve::FaultBurstState>(
-      burst_trigger, burst_len, seed + 8888);
-  auto faulty_ladder = std::make_shared<serve::DegradationLadder>();
-  {
-    injectors.push_back(std::make_unique<serve::FaultInjectingScorer>(
-        strong_scorers[faulted].get(), faulty_config, burst));
-    Status status = faulty_ladder->AddRung("dense-nn", injectors.back().get(),
-                                           strong_cost);
-    if (status.ok()) {
-      serve::FaultInjectionConfig floor_faults;  // bursts only on the floor
-      floor_faults.seed = seed + 7778;
-      injectors.push_back(std::make_unique<serve::FaultInjectingScorer>(
-          &floor_scorer, floor_faults, burst));
-      status = faulty_ladder->AddRung("tiny-nn", injectors.back().get(),
-                                      floor_cost);
-    }
-    if (!status.ok()) {
-      std::fprintf(stderr, "%s\n", status.ToString().c_str());
-      return 1;
-    }
-  }
-
-  std::fprintf(stderr,
-               "soak: %llu ms, abusive tenant %lld (quota %.0f/s burst %.0f),"
-               " faulting shard %u at 20%%, rolling back at 70%%...\n",
-               static_cast<unsigned long long>(soak_ms),
-               static_cast<long long>(abusive_tenant), quota_rate, quota_burst,
-               faulted);
-  uint64_t failed_swaps = 0;
-  std::thread orchestrator([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(soak_ms / 5));
-    if (!router.SwapModelOnShard(faulted, faulty_ladder).ok()) ++failed_swaps;
-    std::this_thread::sleep_for(
-        std::chrono::milliseconds(soak_ms / 2));  // 20% + 50% = 70%
-    if (!router.SwapModelOnShard(faulted, clean_ladders[faulted]).ok()) {
-      ++failed_swaps;
-    }
-  });
-  RunTenantTraffic(router, dataset, zipf, tenants, abusive_tenant, pace_us,
-                   deadline_us, soak_ms, seed + 1);
-  orchestrator.join();
-  router.Stop();
-
-  // ---- Gates and report.
-  const serve::RouterCountersSnapshot counters =
-      router.counters().Snapshot();
-  const serve::TenantSlo abusive =
-      router.TenantSloSnapshot(static_cast<uint64_t>(abusive_tenant));
-  const double soak_seconds = static_cast<double>(soak_ms) * 1e-3;
-  const double admit_budget =
-      admit_slack * (quota_rate * soak_seconds + quota_burst);
-  const bool gate_abusive_rejected = abusive.quota_rejected > 0;
-  const bool gate_abusive_bounded =
-      static_cast<double>(abusive.ok + abusive.errors) <= admit_budget;
-  const bool gate_quarantine = counters.quarantines >= 1;
-  const bool gate_readmit = counters.readmissions >= 1;
-  const bool gate_swaps = failed_swaps == 0;
-
-  bool gate_p99 = true;
-  bool gate_errors = true;
-  std::ostringstream tenants_json;
-  for (uint64_t t = 0; t < tenants; ++t) {
-    const serve::TenantSlo slo = router.TenantSloSnapshot(t);
-    const bool is_abusive = static_cast<int64_t>(t) == abusive_tenant;
-    const double p99_budget =
-        std::max(p99_ratio * baseline_p99[t], p99_floor_us);
-    const bool p99_ok = is_abusive || slo.p99_us <= p99_budget;
-    const bool errors_ok = is_abusive || slo.error_rate < max_error_rate;
-    gate_p99 &= p99_ok;
-    gate_errors &= errors_ok;
-    tenants_json << "    {\"tenant\": " << t << ", \"abusive\": "
-                 << (is_abusive ? "true" : "false")
-                 << ", \"requests\": " << slo.requests
-                 << ", \"ok\": " << slo.ok << ", \"errors\": " << slo.errors
-                 << ", \"quota_rejected\": " << slo.quota_rejected
-                 << ", \"error_rate\": " << FormatFixed(slo.error_rate, 4)
-                 << ", \"quota_reject_rate\": "
-                 << FormatFixed(slo.quota_reject_rate, 4)
-                 << ", \"p99_us\": " << FormatFixed(slo.p99_us, 1)
-                 << ", \"baseline_p99_us\": "
-                 << FormatFixed(baseline_p99[t], 1)
-                 << ", \"p99_budget_us\": " << FormatFixed(p99_budget, 1)
-                 << ", \"p99_ok\": " << (p99_ok ? "true" : "false")
-                 << ", \"errors_ok\": " << (errors_ok ? "true" : "false")
-                 << "}" << (t + 1 < tenants ? "," : "") << "\n";
-  }
-  const bool pass = gate_abusive_rejected && gate_abusive_bounded &&
-                    gate_quarantine && gate_readmit && gate_swaps &&
-                    gate_p99 && gate_errors;
-
-  std::ostringstream json;
-  json << "{\n";
-  json << "  \"benchmark\": \"serve-bench-sharded\",\n";
-  json << "  \"config\": {\"shards\": " << shards
-       << ", \"tenants\": " << tenants
-       << ", \"abusive_tenant\": " << abusive_tenant
-       << ", \"soak_ms\": " << soak_ms << ", \"baseline_ms\": " << baseline_ms
-       << ", \"deadline_us\": " << deadline_us
-       << ", \"quota_rate\": " << FormatFixed(quota_rate, 1)
-       << ", \"quota_burst\": " << FormatFixed(quota_burst, 1)
-       << ", \"fault_rate\": " << FormatFixed(fault_rate, 3)
-       << ", \"burst_trigger\": " << FormatFixed(burst_trigger, 4)
-       << ", \"burst_len\": " << burst_len
-       << ", \"faulted_shard\": " << faulted
-       << ", \"workers\": " << workers << ", \"seed\": " << seed << "},\n";
-  json << "  \"shards\": [\n";
-  for (size_t s = 0; s < shards; ++s) {
-    const serve::ServeCountersSnapshot engine =
-        router.shard_engine(s).counters().Snapshot();
-    json << "    {\"shard\": " << s << ", \"state\": \""
-         << serve::ShardStateName(router.shard_state(s))
-         << "\", \"model_version\": "
-         << router.shard_engine(s).model_version()
-         << ", \"ok\": " << engine.ok << ", \"failed\": " << engine.failed
-         << ", \"shed_queue_full\": " << engine.shed_queue_full
-         << ", \"shed_stopped\": " << engine.shed_stopped
-         << ", \"swaps_attempted\": " << engine.swaps_attempted
-         << ", \"swaps_completed\": " << engine.swaps_completed
-         << ", \"swaps_rejected\": " << engine.swaps_rejected << "}"
-         << (s + 1 < shards ? "," : "") << "\n";
-  }
-  json << "  ],\n";
-  json << "  \"router\": {\"requests\": " << counters.requests
-       << ", \"admitted\": " << counters.admitted
-       << ", \"quota_rejected\": " << counters.quota_rejected
-       << ", \"failover_picks\": " << counters.failover_picks
-       << ", \"failover_retries\": " << counters.failover_retries
-       << ", \"forced_primary\": " << counters.forced_primary
-       << ", \"no_shard_available\": " << counters.no_shard_available
-       << ", \"drains\": " << counters.drains
-       << ", \"quarantines\": " << counters.quarantines
-       << ", \"probes\": " << counters.probes
-       << ", \"readmissions\": " << counters.readmissions << "},\n";
-  json << "  \"tenants\": [\n" << tenants_json.str() << "  ],\n";
-  json << "  \"gates\": {\"abusive_quota_rejected\": "
-       << (gate_abusive_rejected ? "true" : "false")
-       << ", \"abusive_admission_bounded\": "
-       << (gate_abusive_bounded ? "true" : "false")
-       << ", \"admit_budget\": " << FormatFixed(admit_budget, 1)
-       << ", \"tenant_p99_within_budget\": " << (gate_p99 ? "true" : "false")
-       << ", \"tenant_errors_within_budget\": "
-       << (gate_errors ? "true" : "false")
-       << ", \"shard_quarantined\": " << (gate_quarantine ? "true" : "false")
-       << ", \"shard_readmitted\": " << (gate_readmit ? "true" : "false")
-       << ", \"zero_failed_swaps\": " << (gate_swaps ? "true" : "false")
-       << ", \"pass\": " << (pass ? "true" : "false") << "}\n";
-  json << "}\n";
-
-  if (!EnsureParentDir(out)) return 1;
-  std::ofstream file(out);
-  file << json.str();
-  if (!file) {
-    std::fprintf(stderr, "failed to write %s\n", out.c_str());
-    return 1;
-  }
-  std::printf("%s", json.str().c_str());
-  std::printf("wrote %s\n", out.c_str());
-  if (!pass) {
-    std::fprintf(stderr, "isolation SLO gate FAILED (see gates above)\n");
-    return 1;
-  }
-  std::fprintf(stderr, "isolation SLO gate passed\n");
-  return 0;
-}
-
-/// Traffic-replay soak (`soak-bench`): a minutes-scale replay of realistic
-/// ranking traffic against one Servable-backed engine with a hot score
-/// cache, under periodic hot reloads and a mid-soak fault episode.
-///
-/// Phase A (replay soak): a replay::WorkloadGenerator paces arrivals on the
-/// engine's clock — Zipfian query popularity over the corpus, a weighted
-/// mix of candidate-set sizes (autocomplete through full-rank, built by
-/// tiling the query's rows), a diurnal sine on the arrival rate and random
-/// burst episodes. While traffic flows, an orchestrator thread hot-reloads
-/// the model bundle through the golden-score gate every --reload-every-ms,
-/// substituting a POISONED bundle (a student trained from a different seed)
-/// every --poison-every attempts — those must be rejected by the gate,
-/// which is the swap-losslessness proof. Between 45% and 60% of the soak
-/// the orchestrator swaps in (ungated) a ladder whose top rung injects
-/// transient faults, latency spikes and NaNs, then rolls back through the
-/// gate: the engine must keep answering via retries / degradation the
-/// whole time.
-///
-/// Phase B (LETOR streaming): the corpus is written as a LETOR file (or
-/// --letor supplies a real MSLR/Istella slice) and streamed back
-/// query-by-query through data::LetorQueryStream into the serve path —
-/// constant memory no matter the file size, zero failures required.
-///
-/// Phase C (cache parity): the cache is cleared, then every query is served
-/// twice on the cached engine and once on a cache-disabled twin loaded from
-/// the same bundle. The second serve must be a cache hit and all three
-/// score vectors must be bitwise identical — the cache may change latency,
-/// never scores.
-///
-/// Exits 1 unless every gate passes: cache hit rate on the Zipfian phase
-/// >= --min-hit-rate, shed rate <= --max-shed-rate, zero internal
-/// failures, per-rung p99 <= --max-p99-us, every good reload accepted and
-/// every poisoned one rejected, at least one cross-generation stale-entry
-/// reject (the invalidation evidence), and bitwise cache parity.
-int CmdSoakBench(const Args& args) {
-  const auto duration_ms =
-      static_cast<uint64_t>(args.GetInt("duration-ms", 10'000));
-  const auto features = static_cast<uint32_t>(args.GetInt("features", 32));
-  const auto queries = static_cast<uint32_t>(args.GetInt("queries", 48));
-  const auto workers = static_cast<uint32_t>(args.GetInt("workers", 4));
-  const auto deadline_us =
-      static_cast<uint64_t>(args.GetInt("deadline-us", 20'000));
-  const auto reload_every_ms =
-      static_cast<uint64_t>(args.GetInt("reload-every-ms", 700));
-  const int poison_every = args.GetInt("poison-every", 2);
-  const auto seed = static_cast<uint64_t>(args.GetInt("seed", 42));
-  const double min_hit_rate = args.GetDouble("min-hit-rate", 0.5);
-  const double max_shed_rate = args.GetDouble("max-shed-rate", 0.05);
-  const double max_p99_us =
-      args.GetDouble("max-p99-us", static_cast<double>(deadline_us));
-  const std::string out = args.Get("out", "out/soak.json");
-  const std::string bundle_path = args.Get("bundle", "out/soak.bundle");
-  if (duration_ms < 1000) {
-    std::fprintf(stderr, "--duration-ms must be >= 1000\n");
-    return 2;
-  }
-
-  // ---- Setup: corpus, teacher, student, bundle (the CmdServeBenchReload
-  // recipe), plus a poisoned twin whose student comes from a different seed
-  // so its scores cannot match the golden probe.
-  data::SyntheticConfig config = data::SyntheticConfig::MsnLike(1.0);
-  config.num_queries = queries;
-  config.num_features = features;
-  config.seed = seed;
-  const data::Dataset dataset = data::GenerateSynthetic(config);
-  std::fprintf(stderr, "corpus: %u docs / %u queries / %u features\n",
-               dataset.num_docs(), dataset.num_queries(),
-               dataset.num_features());
-
-  gbdt::BoosterConfig bc;
-  bc.num_trees = static_cast<uint32_t>(args.GetInt("trees", 20));
-  bc.num_leaves = 16;
-  gbdt::Booster booster(bc);
-  const gbdt::Ensemble teacher = booster.TrainLambdaMart(dataset, nullptr);
-  const predict::Architecture student_arch(features, {64, 32});
-  const nn::Mlp student(student_arch, seed + 1);
-  const nn::Mlp poisoned_student(student_arch, seed + 999);
-  data::ZNormalizer normalizer;
-  normalizer.Fit(dataset);
-
-  serve::ServableOptions sopt;
-  sopt.num_features = features;
-  gbdt::Ensemble subset(teacher.base_score());
-  const uint32_t subset_trees =
-      std::max(1u, teacher.num_trees() / sopt.subset_tree_divisor);
-  for (uint32_t t = 0; t < subset_trees; ++t) subset.AddTree(teacher.tree(t));
-  const forest::QuickScorer subset_qs(subset, features);
-  const nn::NeuralScorer student_scorer(student, &normalizer);
-  const double student_cost =
-      core::MeasureScorerMicrosPerDocSynthetic(student_scorer, 2048, features);
-  const double subset_cost =
-      core::MeasureScorerMicrosPerDocSynthetic(subset_qs, 2048, features);
-  double costs[3] = {
-      student_cost,
-      serve::PredictCascadeMicrosPerDoc(subset_cost, student_cost,
-                                        sopt.cascade_rescore_fraction),
-      subset_cost};
-  for (int i = 1; i < 3; ++i) costs[i] = std::min(costs[i], costs[i - 1]);
-
-  bundle::RungConfig rungs;
-  rungs.rungs = {{"student", "student", costs[0]},
-                 {"cascade", "cascade", costs[1]},
-                 {"forest-subset", "teacher-subset", costs[2]}};
-  const std::string poison_path = bundle_path + ".poison";
-  {
-    bundle::ModelBundle pack;
-    Status status = pack.SetTeacher(teacher);
-    if (status.ok()) status = pack.SetStudent(student);
-    if (status.ok()) status = pack.SetNormalizer(normalizer);
-    if (status.ok()) status = pack.SetRungs(rungs);
-    if (status.ok() && !EnsureParentDir(bundle_path)) return 1;
-    if (status.ok()) status = pack.SaveToFile(bundle_path);
-    if (status.ok()) status = pack.SetStudent(poisoned_student);
-    if (status.ok()) status = pack.SaveToFile(poison_path);
-    if (!status.ok()) {
-      std::fprintf(stderr, "%s\n", status.ToString().c_str());
-      return 1;
-    }
-  }
-  std::fprintf(stderr, "packed %s (+ poisoned twin)\n", bundle_path.c_str());
-
-  auto servable = serve::Servable::LoadFromFile(bundle_path, sopt);
-  if (!servable.ok()) {
-    std::fprintf(stderr, "%s\n", servable.status().ToString().c_str());
-    return 1;
-  }
-  std::shared_ptr<const serve::Servable> initial(std::move(servable).value());
-  auto ladder = serve::Servable::LadderHandle(initial);
-  const size_t num_rungs = ladder->num_rungs();
-
-  const float* probe_docs = dataset.Row(dataset.QueryBegin(0));
-  const uint32_t probe_count = std::min(dataset.QuerySize(0), 64u);
-  auto golden =
-      serve::CaptureGoldenScores(*ladder, probe_docs, probe_count, features);
-  if (!golden.ok()) {
-    std::fprintf(stderr, "%s\n", golden.status().ToString().c_str());
-    return 1;
-  }
-
-  serve::ScoreCacheConfig cache_config;
-  cache_config.capacity =
-      static_cast<size_t>(args.GetInt("cache-capacity", 4096));
-  cache_config.num_shards =
-      static_cast<size_t>(args.GetInt("cache-shards", 8));
-  serve::ScoreCache cache(cache_config);
-
-  serve::ServingConfig sc;
-  sc.num_workers = workers;
-  sc.queue_capacity = static_cast<uint32_t>(args.GetInt("queue", 256));
-  sc.score_cache = &cache;
-  serve::ServingEngine engine(std::move(ladder), sc);
-  const serve::ServingEngine::SwapValidator gate =
-      [&](const serve::DegradationLadder& candidate) {
-        return serve::RunGoldenSmoke(candidate, probe_docs, probe_count,
-                                     features, &*golden);
-      };
-
-  // The fault episode's ladder: same rung count as the Servable's, top rung
-  // wrapped in an injector throwing transient faults, latency spikes and
-  // NaNs. Installed WITHOUT the gate (it could never pass), rolled back
-  // through it.
-  serve::FaultInjectionConfig fault_config;
-  fault_config.transient_fault_probability =
-      args.GetDouble("fault-rate", 0.3);
-  fault_config.latency_spike_probability = 0.2;
-  fault_config.spike_micros = 1000;
-  fault_config.non_finite_probability = 0.05;
-  fault_config.seed = seed + 777;
-  serve::FaultInjectingScorer faulty_top(&student_scorer, fault_config);
-  serve::InfallibleScorerAdapter clean_mid(&student_scorer);
-  serve::InfallibleScorerAdapter clean_floor(&subset_qs);
-  auto faulty_ladder = std::make_shared<serve::DegradationLadder>();
-  {
-    Status status =
-        faulty_ladder->AddRung("student-faulty", &faulty_top, costs[0]);
-    if (status.ok()) {
-      status = faulty_ladder->AddRung("student-clean", &clean_mid, costs[1]);
-    }
-    if (status.ok()) {
-      status =
-          faulty_ladder->AddRung("forest-subset", &clean_floor, costs[2]);
-    }
-    if (!status.ok()) {
-      std::fprintf(stderr, "%s\n", status.ToString().c_str());
-      return 1;
-    }
-  }
-
-  // ---- Phase A: the replay soak. One driver thread paces arrivals from
-  // the workload model; the orchestrator reloads / poisons / faults
-  // concurrently.
-  replay::WorkloadConfig wc;
-  wc.num_queries = dataset.num_queries();
-  wc.zipf_exponent = args.GetDouble("zipf-exponent", 1.1);
-  wc.base_qps = args.GetDouble("qps", 600.0);
-  wc.diurnal_amplitude = args.GetDouble("diurnal-amplitude", 0.5);
-  // Default period: the soak covers 1.5 compressed "days", so both the
-  // peak and the trough are exercised.
-  wc.diurnal_period_micros = static_cast<uint64_t>(args.GetInt(
-      "diurnal-period-ms",
-      static_cast<int>(duration_ms * 2 / 3))) * 1000;
-  wc.burst_probability = args.GetDouble("burst-probability", 0.003);
-  wc.burst_multiplier = 3.0;
-  wc.burst_duration_micros = 150'000;
-  wc.seed = seed;
-  replay::WorkloadGenerator workload(wc);
-
-  const uint64_t start_micros = engine.clock().NowMicros();
-  const uint64_t soak_end = start_micros + duration_ms * 1000;
-  std::atomic<bool> soak_done{false};
-
-  uint64_t good_reloads = 0;
-  uint64_t good_reload_failures = 0;
-  uint64_t poison_attempts = 0;
-  uint64_t poison_rejected = 0;
-  uint64_t fault_swap_failures = 0;
-  std::thread orchestrator([&] {
-    const uint64_t fault_start = start_micros + duration_ms * 1000 * 45 / 100;
-    const uint64_t fault_end = start_micros + duration_ms * 1000 * 60 / 100;
-    bool fault_active = false;
-    bool fault_done = false;
-    uint64_t reload_count = 0;
-    uint64_t last_reload = start_micros;
-    const auto reload_from = [&](const std::string& path,
-                                 bool expect_reject) {
-      auto candidate = serve::Servable::LoadFromFile(path, sopt);
-      if (!candidate.ok()) {
-        if (!expect_reject) ++good_reload_failures;
-        return;
-      }
-      const Status swapped = engine.SwapModel(
-          serve::Servable::LadderHandle(std::move(candidate).value()), gate);
-      if (expect_reject) {
-        if (!swapped.ok()) ++poison_rejected;
-      } else if (swapped.ok()) {
-        ++good_reloads;
-      } else {
-        std::fprintf(stderr, "swap: %s\n", swapped.ToString().c_str());
-        ++good_reload_failures;
-      }
-    };
-    while (!soak_done.load(std::memory_order_relaxed)) {
-      const uint64_t now = engine.clock().NowMicros();
-      if (!fault_done && !fault_active && now >= fault_start &&
-          now < fault_end) {
-        std::fprintf(stderr, "fault episode: injecting faulty ladder\n");
-        if (engine.SwapModel(faulty_ladder, nullptr).ok()) {
-          fault_active = true;
-        } else {
-          ++fault_swap_failures;
-          fault_done = true;
-        }
-      } else if (fault_active && now >= fault_end) {
-        std::fprintf(stderr, "fault episode: rolling back (golden-gated)\n");
-        reload_from(bundle_path, /*expect_reject=*/false);
-        fault_active = false;
-        fault_done = true;
-        last_reload = now;
-      } else if (!fault_active &&
-                 now - last_reload >= reload_every_ms * 1000) {
-        ++reload_count;
-        const bool poison =
-            poison_every > 0 &&
-            reload_count % static_cast<uint64_t>(poison_every) == 0;
-        if (poison) ++poison_attempts;
-        reload_from(poison ? poison_path : bundle_path, poison);
-        last_reload = now;
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    }
-  });
-
-  // Candidate buffers, memoized per (query, size-class): the class size is
-  // met by tiling the query's real rows, so a repeat of the same arrival
-  // key is byte-identical — which is exactly what the cache fingerprints.
-  std::map<std::pair<uint32_t, uint32_t>, std::vector<float>> buffers;
-  const auto candidate_buffer =
-      [&](uint32_t q, uint32_t docs) -> const std::vector<float>& {
-    const auto key = std::make_pair(q, docs);
-    auto it = buffers.find(key);
-    if (it != buffers.end()) return it->second;
-    std::vector<float> buf(static_cast<size_t>(docs) * features);
-    const uint32_t base = dataset.QueryBegin(q);
-    const uint32_t size = dataset.QuerySize(q);
-    for (uint32_t i = 0; i < docs; ++i) {
-      const float* row = dataset.Row(base + (i % size));
-      std::copy(row, row + features,
-                buf.begin() + static_cast<size_t>(i) * features);
-    }
-    return buffers.emplace(key, std::move(buf)).first->second;
-  };
-
-  std::fprintf(stderr,
-               "soak: %llu ms @ ~%.0f qps, reload every %llu ms "
-               "(poison every %d), fault episode at 45%%-60%%...\n",
-               static_cast<unsigned long long>(duration_ms), wc.base_qps,
-               static_cast<unsigned long long>(reload_every_ms),
-               poison_every);
-  std::vector<std::future<serve::ServeResponse>> inflight;
-  std::vector<serve::ServeResponse> responses;
-  const size_t window = static_cast<size_t>(workers) * 4;
-  uint64_t arrivals_in_burst = 0;
-  while (engine.clock().NowMicros() < soak_end) {
-    const replay::Arrival arrival = workload.Next();
-    replay::SleepUntilDue(engine.clock(), start_micros, arrival);
-    if (engine.clock().NowMicros() >= soak_end) break;
-    arrivals_in_burst += arrival.in_burst ? 1 : 0;
-    const std::vector<float>& docs =
-        candidate_buffer(arrival.query, arrival.candidate_docs);
-    serve::ServeRequest request;
-    request.docs = docs.data();
-    request.count = arrival.candidate_docs;
-    request.stride = features;
-    request.deadline =
-        serve::Deadline::AfterMicros(engine.clock(), deadline_us);
-    inflight.push_back(engine.Submit(request));
-    if (inflight.size() >= window) {
-      responses.push_back(inflight.front().get());
-      inflight.erase(inflight.begin());
-    }
-  }
-  for (auto& future : inflight) responses.push_back(future.get());
-  soak_done.store(true, std::memory_order_relaxed);
-  orchestrator.join();
-
-  // One final golden-gated reload so phases B and C run on a generation
-  // proven equivalent to the initial one even if the soak ended mid-fault.
-  {
-    auto candidate = serve::Servable::LoadFromFile(bundle_path, sopt);
-    if (!candidate.ok() ||
-        !engine
-             .SwapModel(serve::Servable::LadderHandle(
-                            std::move(candidate).value()),
-                        gate)
-             .ok()) {
-      ++good_reload_failures;
-    }
-  }
-
-  // Snapshots for the gates, taken before the later phases add traffic.
-  const serve::ScoreCacheStats soak_cache = cache.Stats();
-  const serve::ServeCountersSnapshot counters = engine.counters().Snapshot();
-  const uint64_t submitted = responses.size();
-  uint64_t soak_cache_hits = 0;
-  std::vector<std::vector<double>> rung_latencies(num_rungs);
-  for (const auto& resp : responses) {
-    if (!resp.status.ok()) continue;
-    if (resp.cache_hit) {
-      ++soak_cache_hits;
-      continue;  // cache hits are not rung latencies
-    }
-    if (resp.rung >= 0 && static_cast<size_t>(resp.rung) < num_rungs) {
-      rung_latencies[static_cast<size_t>(resp.rung)].push_back(
-          static_cast<double>(resp.total_micros));
-    }
-  }
-  const double hit_rate =
-      soak_cache.hits + soak_cache.misses > 0
-          ? static_cast<double>(soak_cache.hits) /
-                static_cast<double>(soak_cache.hits + soak_cache.misses)
-          : 0.0;
-  const uint64_t shed = counters.shed_queue_full + counters.shed_deadline;
-  const double shed_rate =
-      submitted > 0
-          ? static_cast<double>(shed) / static_cast<double>(submitted)
-          : 0.0;
-
-  // ---- Phase B: stream a LETOR file through the serve path.
-  std::string letor_path = args.Get("letor", "");
-  if (letor_path.empty()) {
-    letor_path = "out/soak_corpus.letor";
-    if (!EnsureParentDir(letor_path)) return 1;
-    const Status written = data::WriteLetorFile(dataset, letor_path);
-    if (!written.ok()) {
-      std::fprintf(stderr, "%s\n", written.ToString().c_str());
-      return 1;
-    }
-  }
-  uint64_t letor_queries = 0;
-  uint64_t letor_docs = 0;
-  uint64_t letor_failures = 0;
-  {
-    auto stream = data::LetorQueryStream::Open(letor_path, features);
-    if (!stream.ok()) {
-      std::fprintf(stderr, "%s\n", stream.status().ToString().c_str());
-      return 1;
-    }
-    data::LetorQueryStream reader = std::move(stream).value();
-    data::QueryBatch batch;
-    while (true) {
-      auto more = reader.Next(&batch);
-      if (!more.ok()) {
-        std::fprintf(stderr, "letor: %s\n",
-                     more.status().ToString().c_str());
-        ++letor_failures;
-        break;
-      }
-      if (!more.value()) break;
-      if (batch.num_docs == 0) continue;
-      const serve::ServeResponse resp = engine.ScoreSync(
-          batch.features.data(), batch.num_docs, features, 100'000);
-      if (!resp.status.ok()) ++letor_failures;
-      ++letor_queries;
-      letor_docs += batch.num_docs;
-    }
-  }
-  std::fprintf(stderr, "letor stream: %llu queries / %llu docs from %s\n",
-               static_cast<unsigned long long>(letor_queries),
-               static_cast<unsigned long long>(letor_docs),
-               letor_path.c_str());
-
-  // ---- Phase C: bitwise cache parity. Clear first — soak-era entries may
-  // legitimately carry degraded-rung scores; parity is defined against
-  // what the current generation computes at full strength.
-  cache.Clear();
-  uint64_t parity_queries = 0;
-  uint64_t parity_mismatches = 0;
-  uint64_t parity_missed_hits = 0;
-  {
-    auto twin_servable = serve::Servable::LoadFromFile(bundle_path, sopt);
-    if (!twin_servable.ok()) {
-      std::fprintf(stderr, "%s\n",
-                   twin_servable.status().ToString().c_str());
-      return 1;
-    }
-    std::shared_ptr<const serve::Servable> twin_model(
-        std::move(twin_servable).value());
-    serve::ServingConfig twin_config = sc;
-    twin_config.score_cache = nullptr;
-    serve::ServingEngine twin(serve::Servable::LadderHandle(twin_model),
-                              twin_config);
-    constexpr uint64_t kParityBudgetUs = 200'000;
-    for (uint32_t q = 0; q < dataset.num_queries(); ++q) {
-      const float* docs = dataset.Row(dataset.QueryBegin(q));
-      const uint32_t count = dataset.QuerySize(q);
-      const serve::ServeResponse first =
-          engine.ScoreSync(docs, count, features, kParityBudgetUs);
-      const serve::ServeResponse second =
-          engine.ScoreSync(docs, count, features, kParityBudgetUs);
-      const serve::ServeResponse uncached =
-          twin.ScoreSync(docs, count, features, kParityBudgetUs);
-      ++parity_queries;
-      if (!first.status.ok() || !second.status.ok() ||
-          !uncached.status.ok()) {
-        ++parity_mismatches;
-        continue;
-      }
-      if (!second.cache_hit) ++parity_missed_hits;
-      if (first.scores != second.scores || first.scores != uncached.scores) {
-        ++parity_mismatches;
-      }
-    }
-    twin.Stop();
-  }
-  engine.Stop();
-
-  // ---- Gates and report.
-  const bool gate_hit_rate = hit_rate >= min_hit_rate;
-  const bool gate_shed = shed_rate <= max_shed_rate;
-  const bool gate_failures = counters.failed == 0;
-  bool gate_p99 = true;
-  std::ostringstream rungs_json;
-  for (size_t r = 0; r < num_rungs; ++r) {
-    const double p50 = serve::Percentile(rung_latencies[r], 50);
-    const double p99 = serve::Percentile(rung_latencies[r], 99);
-    // Rungs that served a trivial number of requests are reported but not
-    // gated: a p99 over <20 samples is noise.
-    const bool gated = rung_latencies[r].size() >= 20;
-    if (gated && p99 > max_p99_us) gate_p99 = false;
-    rungs_json << "    {\"rung\": " << r << ", \"name\": \""
-               << engine.ladder().rung(r).name << "\", \"served\": "
-               << rung_latencies[r].size()
-               << ", \"p50_us\": " << FormatFixed(p50, 1)
-               << ", \"p99_us\": " << FormatFixed(p99, 1)
-               << ", \"gated\": " << (gated ? "true" : "false") << "}"
-               << (r + 1 < num_rungs ? "," : "") << "\n";
-  }
-  const bool gate_reloads =
-      good_reload_failures == 0 && counters.swaps_completed >= 2;
-  const bool gate_poison =
-      poison_attempts >= 1 && poison_rejected == poison_attempts;
-  const bool gate_fault = fault_swap_failures == 0;
-  const bool gate_stale = soak_cache.stale_rejects >= 1;
-  const bool gate_parity = parity_mismatches == 0 &&
-                           parity_missed_hits == 0 && parity_queries >= 1;
-  const bool gate_letor = letor_failures == 0 && letor_queries >= 1;
-  const bool pass = gate_hit_rate && gate_shed && gate_failures &&
-                    gate_p99 && gate_reloads && gate_poison && gate_fault &&
-                    gate_stale && gate_parity && gate_letor;
-
-  std::ostringstream json;
-  json << "{\n";
-  json << "  \"benchmark\": \"soak-bench\",\n";
-  json << "  \"config\": {\"duration_ms\": " << duration_ms
-       << ", \"qps\": " << FormatFixed(wc.base_qps, 1)
-       << ", \"queries\": " << queries << ", \"features\": " << features
-       << ", \"workers\": " << workers << ", \"deadline_us\": " << deadline_us
-       << ", \"reload_every_ms\": " << reload_every_ms
-       << ", \"poison_every\": " << poison_every
-       << ", \"zipf_exponent\": " << FormatFixed(wc.zipf_exponent, 2)
-       << ", \"diurnal_amplitude\": "
-       << FormatFixed(wc.diurnal_amplitude, 2)
-       << ", \"burst_probability\": "
-       << FormatFixed(wc.burst_probability, 4)
-       << ", \"cache_capacity\": " << cache_config.capacity
-       << ", \"seed\": " << seed << "},\n";
-  json << "  \"soak\": {\"submitted\": " << submitted
-       << ", \"ok\": " << counters.ok << ", \"failed\": " << counters.failed
-       << ", \"shed_queue_full\": " << counters.shed_queue_full
-       << ", \"shed_deadline\": " << counters.shed_deadline
-       << ", \"deadline_exceeded\": " << counters.deadline_exceeded
-       << ", \"degraded\": " << counters.degraded
-       << ", \"shed_rate\": " << FormatFixed(shed_rate, 4)
-       << ", \"cache_hit_responses\": " << soak_cache_hits
-       << ", \"bursts_started\": " << workload.bursts_started()
-       << ", \"arrivals_in_burst\": " << arrivals_in_burst << "},\n";
-  json << "  \"cache\": {\"hits\": " << soak_cache.hits
-       << ", \"misses\": " << soak_cache.misses
-       << ", \"evictions\": " << soak_cache.evictions
-       << ", \"stale_rejects\": " << soak_cache.stale_rejects
-       << ", \"entries\": " << soak_cache.entries
-       << ", \"hit_rate\": " << FormatFixed(hit_rate, 4) << "},\n";
-  json << "  \"rungs\": [\n" << rungs_json.str() << "  ],\n";
-  json << "  \"swaps\": {\"attempted\": " << counters.swaps_attempted
-       << ", \"completed\": " << counters.swaps_completed
-       << ", \"rejected\": " << counters.swaps_rejected
-       << ", \"good_reloads\": " << good_reloads
-       << ", \"good_reload_failures\": " << good_reload_failures
-       << ", \"poison_attempts\": " << poison_attempts
-       << ", \"poison_rejected\": " << poison_rejected
-       << ", \"fault_swap_failures\": " << fault_swap_failures
-       << ", \"final_model_version\": " << engine.model_version() << "},\n";
-  json << "  \"letor\": {\"path\": \"" << letor_path
-       << "\", \"queries\": " << letor_queries
-       << ", \"docs\": " << letor_docs
-       << ", \"failures\": " << letor_failures << "},\n";
-  json << "  \"parity\": {\"queries\": " << parity_queries
-       << ", \"mismatches\": " << parity_mismatches
-       << ", \"missed_hits\": " << parity_missed_hits << "},\n";
-  json << "  \"gates\": {\"cache_hit_rate\": "
-       << (gate_hit_rate ? "true" : "false")
-       << ", \"shed_rate\": " << (gate_shed ? "true" : "false")
-       << ", \"zero_failures\": " << (gate_failures ? "true" : "false")
-       << ", \"rung_p99\": " << (gate_p99 ? "true" : "false")
-       << ", \"reloads_lossless\": " << (gate_reloads ? "true" : "false")
-       << ", \"poison_rejected\": " << (gate_poison ? "true" : "false")
-       << ", \"fault_swaps\": " << (gate_fault ? "true" : "false")
-       << ", \"stale_rejected\": " << (gate_stale ? "true" : "false")
-       << ", \"cache_parity\": " << (gate_parity ? "true" : "false")
-       << ", \"letor_stream\": " << (gate_letor ? "true" : "false")
-       << ", \"pass\": " << (pass ? "true" : "false") << "}\n";
-  json << "}\n";
-
-  if (!EnsureParentDir(out)) return 1;
-  std::ofstream file(out);
-  file << json.str();
-  if (!file) {
-    std::fprintf(stderr, "failed to write %s\n", out.c_str());
-    return 1;
-  }
-  std::printf("%s", json.str().c_str());
-  std::printf("wrote %s\n", out.c_str());
-  if (!pass) {
-    std::fprintf(stderr, "soak SLO gate FAILED (see gates above)\n");
-    return 1;
-  }
-  std::fprintf(stderr, "soak SLO gate passed\n");
-  return 0;
-}
-
-/// Load-tests the deadline-aware serving engine over a synthetic corpus and
-/// a four-rung degradation ladder (hybrid sparse NN > dense NN > cascade >
-/// tree subset), with optional fault injection on the top rung, and writes a
-/// latency-percentile + rung-distribution JSON report. With --reload-every N
-/// it instead runs the bundle hot-reload load test (see CmdServeBenchReload);
-/// with --shards N >= 2 it runs the sharded multi-tenant isolation soak
-/// (see CmdServeBenchSharded).
-int CmdServeBench(const Args& args) {
-  if (args.GetInt("shards", 0) >= 2) return CmdServeBenchSharded(args);
-  if (args.GetInt("reload-every", 0) > 0) return CmdServeBenchReload(args);
-  const auto features = static_cast<uint32_t>(args.GetInt("features", 136));
-  const auto queries = static_cast<uint32_t>(args.GetInt("queries", 80));
-  const int requests = args.GetInt("requests", 300);
-  const auto deadline_us =
-      static_cast<uint64_t>(args.GetInt("deadline-us", 6000));
-  const auto workers = static_cast<uint32_t>(args.GetInt("workers", 4));
-  const auto threads = static_cast<uint32_t>(args.GetInt("threads", 1));
-  const double fault_rate = args.GetDouble("fault-rate", 0.2);
-  const double spike_rate = args.GetDouble("spike-rate", 0.1);
-  const auto spike_us = static_cast<uint64_t>(args.GetInt("spike-us", 2000));
-  const double nan_rate = args.GetDouble("nan-rate", 0.05);
-  const auto seed = static_cast<uint64_t>(args.GetInt("seed", 42));
-  const std::string out = args.Get("out", "out/serve_latency.json");
-  const bool obs_spans = args.GetInt("obs", 0) != 0;
-  const std::string obs_out = args.Get("obs-out", "out/obs_stats.json");
-
-  // Synthetic corpus standing in for the ranking candidate sets.
-  data::SyntheticConfig config = data::SyntheticConfig::MsnLike(1.0);
-  config.num_queries = queries;
-  config.num_features = features;
-  config.seed = seed;
-  const data::Dataset dataset = data::GenerateSynthetic(config);
-  std::fprintf(stderr, "corpus: %u docs / %u queries / %u features\n",
-               dataset.num_docs(), dataset.num_queries(),
-               dataset.num_features());
-
-  // Forest rungs: a small LambdaMART ensemble plus a first-stage-only
-  // subset of its trees (the cheapest thing that still ranks).
-  gbdt::BoosterConfig bc;
-  bc.num_trees = static_cast<uint32_t>(args.GetInt("trees", 40));
-  bc.num_leaves = 32;
-  std::fprintf(stderr, "training %u-tree forest...\n", bc.num_trees);
-  gbdt::Booster booster(bc);
-  const gbdt::Ensemble forest_model = booster.TrainLambdaMart(dataset, nullptr);
-  gbdt::Ensemble subset(forest_model.base_score());
-  const uint32_t subset_trees = std::max(1u, forest_model.num_trees() / 4);
-  for (uint32_t t = 0; t < subset_trees; ++t) {
-    subset.AddTree(forest_model.tree(t));
-  }
-  forest::QuickScorer subset_qs(subset, features);
-
-  // Neural rungs with random weights: serving cost, not ranking quality, is
-  // what this bench measures, so training would only slow it down.
-  const predict::Architecture big_arch(features, {400, 200, 100});
-  nn::Mlp big(big_arch, seed);
-  nn::WeightMasks masks = prune::MakeDenseMasks(big);
-  prune::LevelPruneLayer(&big, 0, 0.98, &masks);
-  const predict::Architecture small_arch(features, {64, 32});
-  const nn::Mlp small(small_arch, seed + 1);
-  data::ZNormalizer normalizer;
-  normalizer.Fit(dataset);
-
-  // Intra-request parallelism: every rung shares one pool. Neural rungs
-  // chunk whole batches across it (bitwise-identical scores); tree rungs
-  // wrap in ParallelEnsembleScorer. `--threads 1` keeps the serial paths.
-  common::ThreadPool pool(std::max(1u, threads));
-  common::ThreadPool* pool_ptr = threads > 1 ? &pool : nullptr;
-
-  // Budgeted rung costs scale by the machine's MEASURED parallel
-  // efficiency, never the naive serial / T; with --threads 1 the scaling
-  // struct is the identity. Measured before scorer construction so a
-  // machine where threading never pays (crossover == UINT64_MAX, e.g. a
-  // single hardware thread) pins every rung to its serial path instead of
-  // taxing it.
-  predict::ParallelScaling scaling;
-  if (threads > 1) {
-    scaling = predict::MeasureGemmParallelScaling(pool_ptr);
-    std::fprintf(stderr, "parallel scaling: T=%u efficiency %.2f -> %.2fx\n",
-                 scaling.num_threads, scaling.efficiency, scaling.Speedup());
-  }
-  const bool parallel_never_wins = scaling.crossover_flops == UINT64_MAX;
-
-  nn::NeuralScorerConfig nn_config;
-  nn_config.pool = pool_ptr;
-  if (parallel_never_wins) nn_config.min_parallel_docs = UINT32_MAX;
-  nn::HybridNeuralScorer hybrid(big, &normalizer, nn_config);
-  nn::NeuralScorer dense_small(small, &normalizer, nn_config);
-  core::CascadeScorer cascade(&subset_qs, &dense_small, 0.25);
-  const uint32_t tree_crossover = parallel_never_wins ? UINT32_MAX : 0;
-  forest::ParallelEnsembleScorer par_cascade(&cascade, pool_ptr, 64,
-                                             tree_crossover);
-  forest::ParallelEnsembleScorer par_subset(&subset_qs, pool_ptr, 64,
-                                            tree_crossover);
-
-  // Rung costs via the paper's analytic predictors (neural rungs) and
-  // direct measurement (tree rungs) — the same numbers the engine budgets
-  // with online.
-  std::fprintf(stderr, "calibrating scoring-time predictors (seconds)...\n");
-  predict::DenseCalibrationConfig dcal;
-  dcal.m_values = {32, 64, 128, 256, 400};
-  dcal.k_values = {32, 64, features, 256, 400};
-  dcal.n_values = {16, 64};
-  dcal.repeats = 2;
-  const auto dense_pred = predict::DenseTimePredictor::Calibrate(dcal);
-  const auto sparse_pred = predict::SparseTimePredictor::Calibrate();
-  const double subset_cost =
-      core::MeasureScorerMicrosPerDocSynthetic(subset_qs, 2048, features);
-  const double raw_costs[4] = {
-      serve::PredictNeuralRungMicrosPerDoc(
-          big_arch, 64, hybrid.first_layer_sparsity(), dense_pred,
-          sparse_pred),
-      serve::PredictNeuralRungMicrosPerDoc(small_arch, 64, 0.0, dense_pred,
-                                           sparse_pred),
-      serve::PredictCascadeMicrosPerDoc(
-          subset_cost,
-          serve::PredictNeuralRungMicrosPerDoc(small_arch, 64, 0.0, dense_pred,
-                                               sparse_pred),
-          0.25),
-      subset_cost};
-  // The ladder requires non-increasing costs; predictions on a given
-  // machine may cross, so clamp (the JSON reports the raw predictions).
-  double costs[4];
-  for (int i = 0; i < 4; ++i) {
-    costs[i] = i == 0 ? raw_costs[0] : std::min(raw_costs[i], costs[i - 1]);
-  }
-
-  serve::FaultInjectionConfig fic;
-  fic.transient_fault_probability = fault_rate;
-  fic.latency_spike_probability = spike_rate;
-  fic.spike_micros = spike_us;
-  fic.non_finite_probability = nan_rate;
-  fic.seed = seed;
-  serve::FaultInjectingScorer faulty_hybrid(&hybrid, fic);
-  serve::InfallibleScorerAdapter dense_adapter(&dense_small);
-  serve::InfallibleScorerAdapter cascade_adapter(&par_cascade);
-  serve::InfallibleScorerAdapter subset_adapter(&par_subset);
-
-  serve::DegradationLadder ladder;
-  const serve::FallibleScorer* rung_scorers[4] = {
-      &faulty_hybrid, &dense_adapter, &cascade_adapter, &subset_adapter};
-  const char* rung_names[4] = {"hybrid-nn", "dense-nn", "cascade",
-                               "forest-subset"};
-  for (int i = 0; i < 4; ++i) {
-    const Status status = ladder.AddRung(rung_names[i], rung_scorers[i],
-                                         costs[i], scaling);
-    if (!status.ok()) {
-      std::fprintf(stderr, "%s\n", status.ToString().c_str());
-      return 1;
-    }
-    std::fprintf(stderr, "rung %d %-14s %8.3f us/doc (serial %.3f, raw %.3f)\n",
-                 i, rung_names[i],
-                 ladder.rung(static_cast<size_t>(i)).predicted_us_per_doc,
-                 costs[i], raw_costs[i]);
-  }
-
-  serve::ServingConfig sc;
-  sc.num_workers = workers;
-  sc.queue_capacity = static_cast<uint32_t>(args.GetInt("queue", 128));
-  serve::ServingEngine engine(&ladder, sc);
-
-  // With --obs 1 the scoring hot-path spans (mm / nn / forest) record too,
-  // so the exported registry breaks request latency down by stage. The
-  // engine-level histograms (rung totals, queue wait, backoff) always
-  // record: they replace the counters a production service would not turn
-  // off.
-  obs::MetricsRegistry::Global().SetEnabled(obs_spans);
-
-  // Round-robin the queries through the engine with a bounded in-flight
-  // window so the queue sees sustained pressure without unbounded shedding.
-  std::fprintf(stderr, "serving %d requests (deadline %llu us)...\n", requests,
-               static_cast<unsigned long long>(deadline_us));
-  std::vector<std::future<serve::ServeResponse>> inflight;
-  std::vector<serve::ServeResponse> responses;
-  responses.reserve(static_cast<size_t>(requests));
-  const size_t window = static_cast<size_t>(workers) * 4;
-  for (int r = 0; r < requests; ++r) {
-    const uint32_t q = static_cast<uint32_t>(r) % dataset.num_queries();
-    serve::ServeRequest request;
-    request.docs = dataset.Row(dataset.QueryBegin(q));
-    request.count = dataset.QuerySize(q);
-    request.stride = dataset.num_features();
-    request.deadline =
-        serve::Deadline::AfterMicros(engine.clock(), deadline_us);
-    inflight.push_back(engine.Submit(request));
-    if (inflight.size() >= window) {
-      responses.push_back(inflight.front().get());
-      inflight.erase(inflight.begin());
-    }
-  }
-  for (auto& future : inflight) responses.push_back(future.get());
-  engine.Stop();
-  obs::MetricsRegistry::Global().SetEnabled(false);
-
-  const serve::ServeCountersSnapshot counters = engine.counters().Snapshot();
-  std::vector<double> ok_latencies;
-  uint64_t within_deadline = 0;
-  for (const auto& resp : responses) {
-    if (!resp.status.ok()) continue;
-    ok_latencies.push_back(static_cast<double>(resp.total_micros));
-    if (resp.total_micros <= deadline_us) ++within_deadline;
-  }
-
-  std::ostringstream json;
-  json << "{\n";
-  json << "  \"benchmark\": \"serve-bench\",\n";
-  json << "  \"config\": {\"requests\": " << requests
-       << ", \"deadline_us\": " << deadline_us << ", \"workers\": " << workers
-       << ", \"threads\": " << threads << ", \"parallel_efficiency\": "
-       << FormatFixed(scaling.efficiency, 3)
-       << ", \"queue_capacity\": " << sc.queue_capacity
-       << ", \"fault_rate\": " << fault_rate
-       << ", \"spike_rate\": " << spike_rate << ", \"spike_us\": " << spike_us
-       << ", \"nan_rate\": " << nan_rate << ", \"seed\": " << seed << "},\n";
-  // Mean batch size of the round-robined corpus: the request count the
-  // predictor drift comparison is evaluated at.
-  const uint32_t mean_docs = std::max(
-      1u, dataset.num_docs() / std::max(1u, dataset.num_queries()));
-  json << "  \"rungs\": [\n";
-  for (size_t i = 0; i < ladder.num_rungs(); ++i) {
-    // Per-rung latency now comes from the engine's bounded log2 histograms
-    // (constant memory under load) instead of the removed unbounded sample
-    // recorder; percentile estimates are within 2x of exact.
-    const obs::Histogram& rung_hist = engine.rung_latency(i);
-    const predict::DriftSample drift = predict::RecordPredictorDrift(
-        rung_names[i],
-        ladder.PredictedBatchMicros(i, mean_docs, /*safety_factor=*/1.0),
-        rung_hist);
-    json << "    {\"index\": " << i << ", \"name\": \"" << rung_names[i]
-         << "\", \"predicted_us_per_doc\": "
-         << FormatFixed(ladder.rung(i).predicted_us_per_doc, 3)
-         << ", \"serial_us_per_doc\": " << FormatFixed(costs[i], 3)
-         << ", \"raw_predicted_us_per_doc\": " << FormatFixed(raw_costs[i], 3)
-         << ", \"served\": " << counters.served_by_rung[i]
-         << ", \"p50_us\": "
-         << FormatFixed(rung_hist.ApproxPercentileMicros(50), 1)
-         << ", \"p95_us\": "
-         << FormatFixed(rung_hist.ApproxPercentileMicros(95), 1)
-         << ", \"p99_us\": "
-         << FormatFixed(rung_hist.ApproxPercentileMicros(99), 1)
-         << ", \"mean_us\": " << FormatFixed(rung_hist.MeanMicros(), 1)
-         << ", \"predicted_batch_us\": " << FormatFixed(drift.predicted_us, 1)
-         << ", \"drift_ratio\": " << FormatFixed(drift.ratio, 3) << "}"
-         << (i + 1 < ladder.num_rungs() ? "," : "") << "\n";
-  }
-  json << "  ],\n";
-  json << "  \"queue\": {\"wait_p50_us\": "
-       << FormatFixed(engine.queue_wait().ApproxPercentileMicros(50), 1)
-       << ", \"wait_p95_us\": "
-       << FormatFixed(engine.queue_wait().ApproxPercentileMicros(95), 1)
-       << ", \"wait_max_us\": "
-       << FormatFixed(engine.queue_wait().MaxMicros(), 1)
-       << ", \"backoff_sleeps\": " << engine.retry_backoff().Count()
-       << ", \"backoff_total_us\": "
-       << FormatFixed(engine.retry_backoff().SumMicros(), 1) << "},\n";
-  json << "  \"obs\": {\"spans_enabled\": " << (obs_spans ? "true" : "false")
-       << ", \"stats_file\": \"" << obs_out << "\"},\n";
-  json << "  \"overall\": {\"ok\": " << counters.ok
-       << ", \"within_deadline\": " << within_deadline
-       << ", \"shed_queue_full\": " << counters.shed_queue_full
-       << ", \"shed_deadline\": " << counters.shed_deadline
-       << ", \"deadline_exceeded\": " << counters.deadline_exceeded
-       << ", \"failed\": " << counters.failed
-       << ", \"degraded\": " << counters.degraded
-       << ", \"retries\": " << counters.retries
-       << ", \"transient_faults\": " << counters.transient_faults
-       << ", \"timeouts\": " << counters.timeouts
-       << ", \"non_finite_batches\": " << counters.non_finite_batches
-       << ", \"circuit_opens\": " << counters.circuit_opens
-       << ", \"circuit_closes\": " << counters.circuit_closes
-       << ", \"p50_us\": " << FormatFixed(serve::Percentile(ok_latencies, 50), 1)
-       << ", \"p95_us\": " << FormatFixed(serve::Percentile(ok_latencies, 95), 1)
-       << ", \"p99_us\": " << FormatFixed(serve::Percentile(ok_latencies, 99), 1)
-       << "}\n";
-  json << "}\n";
-
-  if (!EnsureParentDir(out)) return 1;
-  std::ofstream file(out);
-  file << json.str();
-  if (!file) {
-    std::fprintf(stderr, "failed to write %s\n", out.c_str());
-    return 1;
-  }
-  std::printf("%s", json.str().c_str());
-  std::printf("wrote %s\n", out.c_str());
-
-  // Full registry export: engine histograms, drift gauges and (with --obs)
-  // the per-stage scoring spans. Checked before writing, so a malformed
-  // report can never land on disk.
-  const std::string obs_json = obs::MetricsRegistry::Global().ToJson();
-  const std::string obs_error = obs::CheckJsonSyntax(obs_json);
-  if (!obs_error.empty()) {
-    std::fprintf(stderr, "exported stats are not valid JSON: %s\n",
-                 obs_error.c_str());
-    return 1;
-  }
-  if (!EnsureParentDir(obs_out)) return 1;
-  std::ofstream obs_file(obs_out);
-  obs_file << obs_json;
-  if (!obs_file) {
-    std::fprintf(stderr, "failed to write %s\n", obs_out.c_str());
-    return 1;
-  }
-  std::printf("wrote %s\n", obs_out.c_str());
   return 0;
 }
 
@@ -2057,38 +422,20 @@ int CmdBenchScaling(const Args& args) {
 
   for (const Preset& preset : presets) {
     auto arch = predict::Architecture::Parse(preset.arch, features);
-    if (!arch.ok()) {
-      std::fprintf(stderr, "%s\n", arch.status().ToString().c_str());
-      return 1;
-    }
+    if (Failed(arch.status())) return 1;
 
     // Synthetic corpus: throughput, not ranking quality, is what this bench
     // measures, so the neural rungs keep their random initial weights.
-    data::SyntheticConfig config = data::SyntheticConfig::MsnLike(1.0);
-    config.num_queries = preset.queries;
-    config.num_features = features;
-    config.seed = seed;
-    const data::Dataset dataset = data::GenerateSynthetic(config);
-    std::fprintf(stderr, "[%s] corpus: %u docs / %u queries / %u features\n",
-                 preset.name.c_str(), dataset.num_docs(),
-                 dataset.num_queries(), dataset.num_features());
-
-    gbdt::BoosterConfig bc;
-    bc.num_trees = preset.trees;
-    bc.num_leaves = 32;
-    std::fprintf(stderr, "[%s] training %u-tree forest...\n",
-                 preset.name.c_str(), bc.num_trees);
-    gbdt::Booster booster(bc);
-    const gbdt::Ensemble forest_model =
-        booster.TrainLambdaMart(dataset, nullptr);
+    std::fprintf(stderr, "[%s] workload\n", preset.name.c_str());
+    const Corpus corpus(preset.queries, features, seed);
+    const data::Dataset& dataset = corpus.dataset;
+    const gbdt::Ensemble forest_model = TrainForest(dataset, preset.trees, 32);
     forest::QuickScorer tree_scorer(forest_model, features);
 
     nn::Mlp dense_mlp(*arch, seed);
     nn::Mlp hybrid_mlp(*arch, seed + 1);
     nn::WeightMasks masks = prune::MakeDenseMasks(hybrid_mlp);
     prune::LevelPruneLayer(&hybrid_mlp, 0, sparsity, &masks);
-    data::ZNormalizer normalizer;
-    normalizer.Fit(dataset);
 
     ConfigReport report;
     report.preset = preset;
@@ -2098,7 +445,6 @@ int CmdBenchScaling(const Args& args) {
     // T>1 rows, so the crossover the bench applies is the one a production
     // caller would compute from the same measurements.
     double dense_serial_us = 0.0;
-    double hybrid_serial_us = 0.0;
     double tree_serial_us = 0.0;
 
     for (const uint32_t t : thread_counts) {
@@ -2137,8 +483,9 @@ int CmdBenchScaling(const Args& args) {
       nn_config.min_parallel_docs =
           std::max(nn_config.min_parallel_docs, nn_crossover);
       row.nn_min_parallel_docs = nn_config.min_parallel_docs;
-      const nn::NeuralScorer dense(dense_mlp, &normalizer, nn_config);
-      const nn::HybridNeuralScorer hybrid(hybrid_mlp, &normalizer, nn_config);
+      const nn::NeuralScorer dense(dense_mlp, &corpus.normalizer, nn_config);
+      const nn::HybridNeuralScorer hybrid(hybrid_mlp, &corpus.normalizer,
+                                          nn_config);
       const forest::ParallelEnsembleScorer tree(&tree_scorer, pool_ptr, 64,
                                                 tree_crossover);
 
@@ -2150,7 +497,6 @@ int CmdBenchScaling(const Args& args) {
           core::MeasureScorerMicrosPerDoc(tree, dataset, repeats);
       if (t == 1) {
         dense_serial_us = dense_us;
-        hybrid_serial_us = hybrid_us;
         tree_serial_us = tree_us;
       }
       row.dense_docs_per_s = 1e6 / dense_us;
@@ -2164,9 +510,6 @@ int CmdBenchScaling(const Args& args) {
                    row.dense_docs_per_s, row.hybrid_docs_per_s,
                    row.tree_docs_per_s);
     }
-    // hybrid_serial_us only feeds the T=1 log line today; keep measuring it
-    // so the serial baseline triple stays complete in the JSON.
-    (void)hybrid_serial_us;
     reports.push_back(std::move(report));
   }
 
@@ -2199,105 +542,75 @@ int CmdBenchScaling(const Args& args) {
     if (!report.gate_pass) gates_pass = false;
   }
 
-  std::ostringstream json;
-  json << "{\n";
-  json << "  \"benchmark\": \"bench-scaling\",\n";
-  json << "  \"hardware_threads\": " << common::ThreadPool::HardwareThreads()
-       << ",\n";
-  json << "  \"configs\": [\n";
-  for (size_t c = 0; c < reports.size(); ++c) {
-    const ConfigReport& report = reports[c];
-    const Row* t1 = nullptr;
+  // UINT64_MAX / UINT32_MAX sentinels ("parallelism never wins on this
+  // machine") are reported as -1, readable where 20 digits would not be.
+  const auto or_minus_one = [](uint64_t value, uint64_t sentinel) {
+    return value == sentinel ? int64_t{-1} : static_cast<int64_t>(value);
+  };
+  std::vector<std::string> configs;
+  for (const ConfigReport& report : reports) {
+    const auto t1 =
+        std::find_if(report.rows.begin(), report.rows.end(),
+                     [](const Row& row) { return row.threads == 1; });
+    const Row& base = t1 != report.rows.end() ? *t1 : report.rows.front();
+    std::string results;
     for (const Row& row : report.rows) {
-      if (row.threads == 1) {
-        t1 = &row;
-        break;
-      }
+      results += (results.empty() ? "" : ",\n       ") +
+                 JsonObject(
+                     "threads", row.threads,
+                     "gemm_gflops", Fixed(row.gemm_gflops, 3),
+                     "parallel_efficiency", Fixed(row.efficiency, 3),
+                     "overhead_us", Fixed(row.overhead_us, 2),
+                     "crossover_flops",
+                     or_minus_one(row.crossover_flops, UINT64_MAX),
+                     "nn_min_parallel_docs",
+                     or_minus_one(row.nn_min_parallel_docs, UINT32_MAX),
+                     "dense_docs_per_s", Fixed(row.dense_docs_per_s, 1),
+                     "dense_speedup",
+                     Fixed(row.dense_docs_per_s / base.dense_docs_per_s, 3),
+                     "hybrid_docs_per_s", Fixed(row.hybrid_docs_per_s, 1),
+                     "hybrid_speedup",
+                     Fixed(row.hybrid_docs_per_s / base.hybrid_docs_per_s, 3),
+                     "tree_docs_per_s", Fixed(row.tree_docs_per_s, 1),
+                     "tree_speedup",
+                     Fixed(row.tree_docs_per_s / base.tree_docs_per_s, 3));
     }
-    const Row& base = t1 != nullptr ? *t1 : report.rows.front();
-    json << "    {\"name\": \"" << report.preset.name << "\",\n";
-    json << "     \"config\": {\"features\": " << features
-         << ", \"queries\": " << report.preset.queries
-         << ", \"docs\": " << report.docs << ", \"arch\": \""
-         << report.preset.arch << "\", \"sparsity\": "
-         << FormatFixed(sparsity, 3) << ", \"trees\": " << report.preset.trees
-         << ", \"repeats\": " << repeats << ", \"seed\": " << seed << "},\n";
-    json << "     \"results\": [\n";
-    for (size_t i = 0; i < report.rows.size(); ++i) {
-      const Row& row = report.rows[i];
-      // UINT64_MAX crossover means "parallelism never wins on this machine";
-      // -1 keeps that readable where a 20-digit sentinel would not be.
-      const bool never = row.crossover_flops == UINT64_MAX;
-      json << "       {\"threads\": " << row.threads
-           << ", \"gemm_gflops\": " << FormatFixed(row.gemm_gflops, 3)
-           << ", \"parallel_efficiency\": " << FormatFixed(row.efficiency, 3)
-           << ", \"overhead_us\": " << FormatFixed(row.overhead_us, 2)
-           << ", \"crossover_flops\": "
-           << (never ? std::string("-1")
-                     : std::to_string(row.crossover_flops))
-           << ", \"nn_min_parallel_docs\": "
-           << (row.nn_min_parallel_docs == UINT32_MAX
-                   ? std::string("-1")
-                   : std::to_string(row.nn_min_parallel_docs))
-           << ", \"dense_docs_per_s\": "
-           << FormatFixed(row.dense_docs_per_s, 1)
-           << ", \"dense_speedup\": "
-           << FormatFixed(row.dense_docs_per_s / base.dense_docs_per_s, 3)
-           << ", \"hybrid_docs_per_s\": "
-           << FormatFixed(row.hybrid_docs_per_s, 1)
-           << ", \"hybrid_speedup\": "
-           << FormatFixed(row.hybrid_docs_per_s / base.hybrid_docs_per_s, 3)
-           << ", \"tree_docs_per_s\": " << FormatFixed(row.tree_docs_per_s, 1)
-           << ", \"tree_speedup\": "
-           << FormatFixed(row.tree_docs_per_s / base.tree_docs_per_s, 3)
-           << "}" << (i + 1 < report.rows.size() ? "," : "") << "\n";
-    }
-    json << "     ]";
+    std::string config;
+    AppendMembers(
+        &config, "name", report.preset.name, "config",
+        Json{JsonObject("features", features, "queries", report.preset.queries,
+                        "docs", report.docs, "arch", report.preset.arch,
+                        "sparsity", Fixed(sparsity, 3),
+                        "trees", report.preset.trees, "repeats", repeats,
+                        "seed", seed)},
+        "results", Json{"[\n       " + results + "\n     ]"});
     if (report.gate_ratio > 0.0) {
-      json << ",\n     \"gate\": {\"min_t2_ratio\": "
-           << FormatFixed(report.gate_ratio, 3)
-           << ", \"t2_ratio\": " << FormatFixed(report.t2_ratio, 3)
-           << ", \"pass\": " << (report.gate_pass ? "true" : "false") << "}";
+      AppendMembers(&config, "gate",
+                    Json{JsonObject("min_t2_ratio", Fixed(report.gate_ratio, 3),
+                                    "t2_ratio", Fixed(report.t2_ratio, 3),
+                                    "pass", report.gate_pass)});
     }
-    json << "}" << (c + 1 < reports.size() ? "," : "") << "\n";
+    configs.push_back("{" + config + "}");
   }
-  json << "  ]";
+  std::ostringstream json;
+  json << "{\n  \"benchmark\": \"bench-scaling\",\n  \"hardware_threads\": "
+       << common::ThreadPool::HardwareThreads() << ",\n  \"configs\": "
+       << JsonArray(configs);
   if (obs_spans) {
     obs::MetricsRegistry::Global().SetEnabled(false);
     obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
     json << ",\n  \"obs\": {\"gemm_calls\": "
          << registry.GetCounter("mm.gemm.calls").Value() << ", "
          << GemmSplitJson(GemmSplitMicros(registry))
-         << ", \"stats_file\": \"" << obs_out << "\"}";
+         << ", \"stats_file\": " << Quote(obs_out) << "}";
   }
   json << "\n}\n";
 
-  if (!EnsureParentDir(out)) return 1;
-  std::ofstream file(out);
-  file << json.str();
-  if (!file) {
-    std::fprintf(stderr, "failed to write %s\n", out.c_str());
-    return 1;
-  }
   std::printf("%s", json.str().c_str());
-  std::printf("wrote %s\n", out.c_str());
-
-  if (obs_spans) {
-    const std::string obs_json = obs::MetricsRegistry::Global().ToJson();
-    const std::string obs_error = obs::CheckJsonSyntax(obs_json);
-    if (!obs_error.empty()) {
-      std::fprintf(stderr, "exported stats are not valid JSON: %s\n",
-                   obs_error.c_str());
-      return 1;
-    }
-    if (!EnsureParentDir(obs_out)) return 1;
-    std::ofstream obs_file(obs_out);
-    obs_file << obs_json;
-    if (!obs_file) {
-      std::fprintf(stderr, "failed to write %s\n", obs_out.c_str());
-      return 1;
-    }
-    std::printf("wrote %s\n", obs_out.c_str());
+  if (!WriteJson(out, json.str())) return 1;
+  if (obs_spans &&
+      !WriteJson(obs_out, obs::MetricsRegistry::Global().ToJson())) {
+    return 1;
   }
 
   for (const ConfigReport& report : reports) {
@@ -2333,20 +646,15 @@ int CmdStats(const Args& args) {
 
   if (args.Has("in")) {
     const std::string path = args.Get("in", "");
-    std::ifstream file(path);
-    if (!file) {
-      std::fprintf(stderr, "cannot open %s\n", path.c_str());
-      return 1;
-    }
-    std::stringstream buffer;
-    buffer << file.rdbuf();
-    const std::string error = obs::CheckJsonSyntax(buffer.str());
+    auto text = ReadFileToString(path);
+    if (Failed(text.status())) return 1;
+    const std::string error = obs::CheckJsonSyntax(*text);
     if (!error.empty()) {
       std::fprintf(stderr, "%s: invalid JSON: %s\n", path.c_str(),
                    error.c_str());
       return 1;
     }
-    std::printf("%s", buffer.str().c_str());
+    std::printf("%s", text->c_str());
     std::fprintf(stderr, "%s: valid JSON\n", path.c_str());
     return 0;
   }
@@ -2359,21 +667,14 @@ int CmdStats(const Args& args) {
   const int trials = args.GetInt("trials", 3);
   const std::string out = args.Get("out", "-");
 
-  data::SyntheticConfig config = data::SyntheticConfig::MsnLike(1.0);
-  config.num_queries = queries;
-  config.num_features = features;
-  config.seed = seed;
-  const data::Dataset dataset = data::GenerateSynthetic(config);
+  const Corpus corpus(queries, features, seed);
+  const data::Dataset& dataset = corpus.dataset;
 
   // One scorer per instrumented subsystem: the dense MLP drives the GEMM
   // spans, the hybrid MLP the sparse first-layer split, the QuickScorer
   // pair the forest traversal spans. Random weights: this command measures
   // plumbing, not ranking quality.
-  gbdt::BoosterConfig bc;
-  bc.num_trees = 10;
-  bc.num_leaves = 16;
-  gbdt::Booster booster(bc);
-  const gbdt::Ensemble forest_model = booster.TrainLambdaMart(dataset, nullptr);
+  const gbdt::Ensemble forest_model = TrainForest(dataset, 10, 16);
   const forest::QuickScorer qs(forest_model, dataset.num_features());
   const forest::BlockwiseQuickScorer bwqs(forest_model, dataset.num_features());
   const predict::Architecture arch(dataset.num_features(), {128, 64});
@@ -2381,10 +682,8 @@ int CmdStats(const Args& args) {
   nn::Mlp hybrid_mlp(arch, seed + 1);
   nn::WeightMasks masks = prune::MakeDenseMasks(hybrid_mlp);
   prune::LevelPruneLayer(&hybrid_mlp, 0, 0.95, &masks);
-  data::ZNormalizer normalizer;
-  normalizer.Fit(dataset);
-  const nn::NeuralScorer dense(dense_mlp, &normalizer);
-  const nn::HybridNeuralScorer hybrid(hybrid_mlp, &normalizer);
+  const nn::NeuralScorer dense(dense_mlp, &corpus.normalizer);
+  const nn::HybridNeuralScorer hybrid(hybrid_mlp, &corpus.normalizer);
 
   const forest::DocumentScorer* scorers[] = {&dense, &hybrid, &qs, &bwqs};
   int failures = 0;
@@ -2446,24 +745,14 @@ int CmdStats(const Args& args) {
                GemmSplitJson(gemm_split).c_str());
 
   const std::string json = registry.ToJson();
+  if (out != "-") return WriteJson(out, json) && failures == 0 ? 0 : 1;
   const std::string error = obs::CheckJsonSyntax(json);
   if (!error.empty()) {
     std::fprintf(stderr, "exported stats are not valid JSON: %s\n",
                  error.c_str());
     return 1;
   }
-  if (out == "-") {
-    std::printf("%s", json.c_str());
-  } else {
-    if (!EnsureParentDir(out)) return 1;
-    std::ofstream file(out);
-    file << json;
-    if (!file) {
-      std::fprintf(stderr, "failed to write %s\n", out.c_str());
-      return 1;
-    }
-    std::printf("wrote %s\n", out.c_str());
-  }
+  std::printf("%s", json.c_str());
   return failures == 0 ? 0 : 1;
 }
 
@@ -2493,10 +782,7 @@ int CmdValidate(const Args& args) {
     }
     if (first_word == "ensemble") {
       auto model = gbdt::Ensemble::LoadFromFile(path);
-      if (!model.ok()) {
-        std::fprintf(stderr, "%s\n", model.status().ToString().c_str());
-        return 1;
-      }
+      if (Failed(model.status())) return 1;
       validate::Report report;
       gbdt::ValidateEnsemble(*model, features,
                              validate::Checker(&report, "ensemble"));
@@ -2510,10 +796,7 @@ int CmdValidate(const Args& args) {
                   qs_report.ok() ? "yes" : qs_report.ToString().c_str());
     } else if (first_word == "mlp") {
       auto model = nn::Mlp::LoadFromFile(path);
-      if (!model.ok()) {
-        std::fprintf(stderr, "%s\n", model.status().ToString().c_str());
-        return 1;
-      }
+      if (Failed(model.status())) return 1;
       validate::Report report;
       nn::ValidateMlp(*model, validate::Checker(&report, "mlp"));
       ok = PrintReport("mlp", report) && ok;
@@ -2526,10 +809,7 @@ int CmdValidate(const Args& args) {
 
   if (args.Has("data")) {
     auto dataset = data::ReadLetorFile(args.Get("data", ""));
-    if (!dataset.ok()) {
-      std::fprintf(stderr, "%s\n", dataset.status().ToString().c_str());
-      return 1;
-    }
+    if (Failed(dataset.status())) return 1;
     validate::Report report;
     data::ValidateDataset(
         *dataset, validate::Checker(&report, "dataset"),
@@ -2583,52 +863,27 @@ int CmdBundlePack(const Args& args) {
 
   if (args.Has("in")) {
     auto loaded = bundle::ModelBundle::LoadFromFile(args.Get("in", ""));
-    if (!loaded.ok()) {
-      std::fprintf(stderr, "%s\n", loaded.status().ToString().c_str());
-      return 1;
-    }
+    if (Failed(loaded.status())) return 1;
     pack = std::move(loaded).value();
   }
   if (args.Has("teacher")) {
     auto teacher = gbdt::Ensemble::LoadFromFile(args.Get("teacher", ""));
-    if (!teacher.ok()) {
-      std::fprintf(stderr, "%s\n", teacher.status().ToString().c_str());
-      return 1;
-    }
-    const Status status = pack.SetTeacher(*teacher);
-    if (!status.ok()) {
-      std::fprintf(stderr, "%s\n", status.ToString().c_str());
-      return 1;
-    }
+    if (Failed(teacher.status())) return 1;
+    if (Failed(pack.SetTeacher(*teacher))) return 1;
   }
   if (args.Has("student")) {
     auto student = nn::Mlp::LoadFromFile(args.Get("student", ""));
-    if (!student.ok()) {
-      std::fprintf(stderr, "%s\n", student.status().ToString().c_str());
-      return 1;
-    }
-    const Status status = pack.SetStudent(*student);
-    if (!status.ok()) {
-      std::fprintf(stderr, "%s\n", status.ToString().c_str());
-      return 1;
-    }
+    if (Failed(student.status())) return 1;
+    if (Failed(pack.SetStudent(*student))) return 1;
   }
   if (args.Has("norm-data")) {
     const data::Dataset dataset = LoadLetorOrDie(args.Get("norm-data", ""));
     data::ZNormalizer normalizer;
     normalizer.Fit(dataset);
-    const Status status = pack.SetNormalizer(normalizer);
-    if (!status.ok()) {
-      std::fprintf(stderr, "%s\n", status.ToString().c_str());
-      return 1;
-    }
+    if (Failed(pack.SetNormalizer(normalizer))) return 1;
   }
   if (args.Has("rungs")) {
-    const Status status = pack.SetRungs(ParseRungSpec(args.Get("rungs", "")));
-    if (!status.ok()) {
-      std::fprintf(stderr, "%s\n", status.ToString().c_str());
-      return 1;
-    }
+    if (Failed(pack.SetRungs(ParseRungSpec(args.Get("rungs", ""))))) return 1;
   }
   if (pack.sections().empty()) {
     std::fprintf(stderr,
@@ -2643,10 +898,7 @@ int CmdBundlePack(const Args& args) {
   // whatever --in provided.
   const Status status = pack.SaveToFile(
       out, binary ? bundle::BundleFormat::kBinary : bundle::BundleFormat::kText);
-  if (!status.ok()) {
-    std::fprintf(stderr, "%s\n", status.ToString().c_str());
-    return 1;
-  }
+  if (Failed(status)) return 1;
   std::printf("packed %zu section(s) into %s (%s)\n", pack.sections().size(),
               out.c_str(), binary ? "binary" : "text");
   for (const bundle::Section& section : pack.sections()) {
@@ -2663,10 +915,7 @@ int CmdBundleUnpack(const Args& args) {
   const std::string in = args.Require("in");
   const std::string dir = args.Get("out-dir", ".");
   auto loaded = bundle::ModelBundle::LoadFromFile(in);
-  if (!loaded.ok()) {
-    std::fprintf(stderr, "%s\n", loaded.status().ToString().c_str());
-    return 1;
-  }
+  if (Failed(loaded.status())) return 1;
   if (loaded->sections().empty()) {
     std::fprintf(stderr, "%s: bundle has no sections\n", in.c_str());
     return 1;
@@ -2675,24 +924,14 @@ int CmdBundleUnpack(const Args& args) {
   // same standalone .txt model files a text bundle does (the conversion is
   // bitwise score-lossless).
   auto text_bytes = loaded->SerializeAs(bundle::BundleFormat::kText);
-  if (!text_bytes.ok()) {
-    std::fprintf(stderr, "%s\n", text_bytes.status().ToString().c_str());
-    return 1;
-  }
+  if (Failed(text_bytes.status())) return 1;
   loaded = bundle::ModelBundle::Deserialize(*text_bytes);
-  if (!loaded.ok()) {
-    std::fprintf(stderr, "%s\n", loaded.status().ToString().c_str());
-    return 1;
-  }
+  if (Failed(loaded.status())) return 1;
   for (const bundle::Section& section : loaded->sections()) {
     const std::string path =
         (std::filesystem::path(dir) / (section.name + ".txt")).string();
     if (!EnsureParentDir(path)) return 1;
-    const Status status = AtomicWriteFile(path, section.payload);
-    if (!status.ok()) {
-      std::fprintf(stderr, "%s\n", status.ToString().c_str());
-      return 1;
-    }
+    if (Failed(AtomicWriteFile(path, section.payload))) return 1;
     std::printf("wrote %s (%zu bytes)\n", path.c_str(),
                 section.payload.size());
   }
@@ -2836,10 +1075,7 @@ int CmdBundleBench(const Args& args) {
     teacher.AddTree(BenchRandomTree(rng, tree_leaves, features));
   }
   auto arch = predict::Architecture::Parse(arch_spec, features);
-  if (!arch.ok()) {
-    std::fprintf(stderr, "%s\n", arch.status().ToString().c_str());
-    return 1;
-  }
+  if (Failed(arch.status())) return 1;
   const nn::Mlp student(*arch, seed + 1);
   std::vector<float> mean(features);
   std::vector<float> stddev(features);
@@ -2869,10 +1105,7 @@ int CmdBundleBench(const Args& args) {
   if (status.ok()) {
     status = pack.SaveToFile(binary_path, bundle::BundleFormat::kBinary);
   }
-  if (!status.ok()) {
-    std::fprintf(stderr, "%s\n", status.ToString().c_str());
-    return 1;
-  }
+  if (Failed(status)) return 1;
 
   // Canonical text serializations of every model materialized on the first
   // iteration of each path; equal strings = bitwise-equal parameters (the
@@ -2894,66 +1127,50 @@ int CmdBundleBench(const Args& args) {
     return *ts + *ss + *ns + *rs;
   };
 
-  double text_us = std::numeric_limits<double>::infinity();
-  double binary_us = std::numeric_limits<double>::infinity();
+  // Best-of-iters cold load + materialization through `load` (a text
+  // ModelBundle or a MappedBundle: both expose the same model getters); the
+  // first iteration's models are fingerprinted into `fp`.
   using Clock = std::chrono::steady_clock;
-  for (int i = 0; i < iters; ++i) {
-    const auto start = Clock::now();
-    auto loaded = bundle::ModelBundle::LoadFromFile(text_path);
-    if (!loaded.ok()) {
-      std::fprintf(stderr, "%s\n", loaded.status().ToString().c_str());
-      return 1;
-    }
-    auto lt = loaded->Teacher();
-    auto ls = loaded->Student();
-    auto ln = loaded->Normalizer();
-    auto lr = loaded->Rungs();
-    if (!lt.ok() || !ls.ok() || !ln.ok() || !lr.ok()) {
-      std::fprintf(stderr, "text load failed to materialize a model\n");
-      return 1;
-    }
-    const auto elapsed = std::chrono::duration<double, std::micro>(
-                             Clock::now() - start)
-                             .count();
-    text_us = std::min(text_us, elapsed);
-    if (i == 0) {
-      auto fp = fingerprint(*lt, *ls, *ln, *lr);
-      if (!fp.ok()) {
-        std::fprintf(stderr, "%s\n", fp.status().ToString().c_str());
-        return 1;
+  const auto time_loads = [&](const auto& load, double* best_us,
+                              std::string* fp) {
+    *best_us = std::numeric_limits<double>::infinity();
+    for (int i = 0; i < iters; ++i) {
+      const auto start = Clock::now();
+      auto loaded = load();
+      if (Failed(loaded.status())) return false;
+      auto lt = loaded->Teacher();
+      auto ls = loaded->Student();
+      auto ln = loaded->Normalizer();
+      auto lr = loaded->Rungs();
+      if (!lt.ok() || !ls.ok() || !ln.ok() || !lr.ok()) {
+        std::fprintf(stderr, "load failed to materialize a model\n");
+        return false;
       }
-      text_fingerprint = std::move(*fp);
+      const std::chrono::duration<double, std::micro> elapsed =
+          Clock::now() - start;
+      *best_us = std::min(*best_us, elapsed.count());
+      if (i == 0) {
+        auto fingerprinted = fingerprint(*lt, *ls, *ln, *lr);
+        if (Failed(fingerprinted.status())) return false;
+        *fp = std::move(*fingerprinted);
+      }
     }
-  }
+    return true;
+  };
+  double text_us = 0.0;
+  double binary_us = 0.0;
   bool mmap_used = false;
-  for (int i = 0; i < iters; ++i) {
-    const auto start = Clock::now();
+  const auto load_text = [&] {
+    return bundle::ModelBundle::LoadFromFile(text_path);
+  };
+  const auto load_binary = [&] {
     auto mapped = bundle::MappedBundle::Map(binary_path);
-    if (!mapped.ok()) {
-      std::fprintf(stderr, "%s\n", mapped.status().ToString().c_str());
-      return 1;
-    }
-    auto lt = mapped->Teacher();
-    auto ls = mapped->Student();
-    auto ln = mapped->Normalizer();
-    auto lr = mapped->Rungs();
-    if (!lt.ok() || !ls.ok() || !ln.ok() || !lr.ok()) {
-      std::fprintf(stderr, "binary load failed to materialize a model\n");
-      return 1;
-    }
-    const auto elapsed = std::chrono::duration<double, std::micro>(
-                             Clock::now() - start)
-                             .count();
-    binary_us = std::min(binary_us, elapsed);
-    mmap_used = mapped->is_mapped();
-    if (i == 0) {
-      auto fp = fingerprint(*lt, *ls, *ln, *lr);
-      if (!fp.ok()) {
-        std::fprintf(stderr, "%s\n", fp.status().ToString().c_str());
-        return 1;
-      }
-      binary_fingerprint = std::move(*fp);
-    }
+    mmap_used = mapped.ok() && mapped->is_mapped();
+    return mapped;
+  };
+  if (!time_loads(load_text, &text_us, &text_fingerprint) ||
+      !time_loads(load_binary, &binary_us, &binary_fingerprint)) {
+    return 1;
   }
 
   if (text_fingerprint != binary_fingerprint) {
@@ -2980,59 +1197,56 @@ int CmdBundleBench(const Args& args) {
   return 0;
 }
 
-int CmdBundle(const std::string& sub, const Args& args) {
-  if (sub == "pack") return CmdBundlePack(args);
-  if (sub == "unpack") return CmdBundleUnpack(args);
-  if (sub == "verify") return CmdBundleVerify(args);
-  if (sub == "bench") return CmdBundleBench(args);
-  std::fprintf(stderr, "unknown bundle subcommand '%s' "
-                       "(want pack|unpack|verify|bench)\n", sub.c_str());
-  return 2;
-}
+/// Every command and its usage line. The --flags a usage line names are
+/// exactly the flags the command accepts; serve-bench has one line per mode.
+struct Command {
+  const char* name;
+  const char* usage;
+  int (*run)(const Args&);
+};
+constexpr Command kCommands[] = {
+    {"gen", "--out F [--queries N] [--features K] [--style msn|istella] "
+            "[--seed S]", CmdGen},
+    {"train-forest", "--train F --out M [--valid F] [--trees N] [--leaves L] "
+                     "[--lr R] [--min-docs N] [--l2 X] [--tune T]",
+     CmdTrainForest},
+    {"distill", "--train F --teacher M --arch AxBxC --out M [--prune 0.97] "
+                "[--epochs E] [--batch N] [--lr R]", CmdDistill},
+    {"score", "--model M --data F [--out F|-] "
+              "[--engine qs|vqs|wide|naive|dense|hybrid] [--time 1]",
+     CmdScore},
+    {"evaluate", "--model M --data F [--engine ...]", CmdEvaluate},
+    {"predict-time", "--arch AxBxC [--features K] [--batch N] [--sparsity S]",
+     CmdPredictTime},
+    {"validate", "[--model M] [--data F] [--features K] [--max-label L]",
+     CmdValidate},
+    {"serve-bench", kLatencyUsage, CmdServeBench},
+    {"serve-bench", kReloadUsage, CmdServeBench},
+    {"serve-bench", kShardsUsage, CmdServeBench},
+    {"soak-bench", kSoakUsage, CmdSoakBench},
+    {"bundle pack", "--out B [--in B] [--binary 1] [--teacher M] "
+                    "[--student M] [--norm-data F] [--rungs name:kind:us,...]",
+     CmdBundlePack},
+    {"bundle unpack", "--in B [--out-dir D]", CmdBundleUnpack},
+    {"bundle verify", "--in B [--features K]", CmdBundleVerify},
+    {"bundle bench", "[--trees N] [--leaves L] [--arch AxBxC] [--features K] "
+                     "[--iters I] [--min-speedup X] [--dir D] [--seed S]",
+     CmdBundleBench},
+    {"bench-scaling", "[--configs small,large] [--threads 1,2,4] "
+                      "[--arch AxBxC] [--features K] [--queries N] "
+                      "[--sparsity S] [--trees N] [--repeats R] [--seed S] "
+                      "[--min-t2-ratio R] [--min-t2-ratio-small R] [--obs 1] "
+                      "[--obs-out F] [--out F]", CmdBenchScaling},
+    {"stats", "[--in F] [--check 1] [--max-overhead-pct X] [--trials T] "
+              "[--features K] [--queries N] [--seed S] [--out F|-]",
+     CmdStats},
+};
 
 int Usage() {
-  std::fprintf(
-      stderr,
-      "usage: dnlr_cli <command> [--flag value ...]\n"
-      "  gen           --out F [--queries N] [--features K] [--style "
-      "msn|istella] [--seed S]\n"
-      "  train-forest  --train F --out M [--valid F] [--trees N] [--leaves L]"
-      " [--lr R] [--tune T]\n"
-      "  distill       --train F --teacher M --arch AxBxC --out M [--prune "
-      "0.97] [--epochs E]\n"
-      "  score         --model M --data F [--out F|-] [--engine "
-      "qs|vqs|wide|naive|dense|hybrid] [--time 1]\n"
-      "  evaluate      --model M --data F [--engine ...]\n"
-      "  predict-time  --arch AxBxC [--features K] [--batch N] [--sparsity "
-      "S]\n"
-      "  validate      [--model M] [--data F] [--features K] [--max-label "
-      "L]\n"
-      "  serve-bench   [--requests N] [--deadline-us U] [--workers W] "
-      "[--threads T] [--fault-rate P] [--spike-rate P] [--spike-us U] "
-      "[--nan-rate P] [--obs 1] [--obs-out F] [--out F] "
-      "[--reload-every N [--bundle F]] | --shards N [--tenants M] "
-      "[--abusive-tenant T] [--soak-ms D] [--baseline-ms D] [--pace-us U] "
-      "[--quota-rate R] [--quota-burst B] [--burst-trigger P] [--burst-len N] "
-      "[--p99-ratio X] [--p99-floor-us U] [--max-error-rate P]\n"
-      "  soak-bench    [--duration-ms D] [--qps R] [--queries N] "
-      "[--features K] [--workers W] [--deadline-us U] [--reload-every-ms D] "
-      "[--poison-every N] [--zipf-exponent S] [--diurnal-amplitude A] "
-      "[--diurnal-period-ms D] [--burst-probability P] [--cache-capacity N] "
-      "[--cache-shards N] [--min-hit-rate R] [--max-shed-rate R] "
-      "[--max-p99-us U] [--letor F] [--out F]\n"
-      "  bundle pack   --out B [--in B] [--binary 1] [--teacher M] "
-      "[--student M] [--norm-data F] "
-      "[--rungs name:kind:us,...]\n"
-      "  bundle unpack --in B [--out-dir D]\n"
-      "  bundle verify --in B [--features K]\n"
-      "  bundle bench  [--trees N] [--leaves L] [--arch AxBxC] [--features K] "
-      "[--iters I] [--min-speedup X] [--dir D]\n"
-      "  bench-scaling [--configs small,large] [--threads 1,2,4] "
-      "[--arch AxBxC] [--features K] [--sparsity S] [--trees N] "
-      "[--repeats R] [--min-t2-ratio R] [--min-t2-ratio-small R] "
-      "[--obs 1] [--obs-out F] [--out F]\n"
-      "  stats         [--in F] [--check 1] [--max-overhead-pct X] "
-      "[--trials T] [--features K] [--queries N] [--seed S] [--out F|-]\n");
+  std::fprintf(stderr, "usage: dnlr_cli <command> [--flag value ...]\n");
+  for (const Command& command : kCommands) {
+    std::fprintf(stderr, "  %-13s %s\n", command.name, command.usage);
+  }
   return 2;
 }
 
@@ -3042,22 +1256,19 @@ int Usage() {
 int main(int argc, char** argv) {
   using namespace dnlr::cli;
   if (argc < 2) return Usage();
-  const std::string command = argv[1];
-  if (command == "bundle") {
-    if (argc < 3) return Usage();
-    return CmdBundle(argv[2], Args(argc, argv, 3));
+  const bool bundle = std::string(argv[1]) == "bundle" && argc > 2;
+  const std::string name =
+      bundle ? std::string("bundle ") + argv[2] : std::string(argv[1]);
+  const Args args(argc, argv, bundle ? 3 : 2);
+  // A command may have several usage lines (modes); it accepts their union.
+  std::string usage;
+  const Command* found = nullptr;
+  for (const Command& command : kCommands) {
+    if (name != command.name) continue;
+    usage.append(command.usage).append(" ");
+    found = found != nullptr ? found : &command;
   }
-  const Args args(argc, argv, 2);
-  if (command == "gen") return CmdGen(args);
-  if (command == "train-forest") return CmdTrainForest(args);
-  if (command == "distill") return CmdDistill(args);
-  if (command == "score") return CmdScore(args);
-  if (command == "evaluate") return CmdEvaluate(args);
-  if (command == "predict-time") return CmdPredictTime(args);
-  if (command == "validate") return CmdValidate(args);
-  if (command == "serve-bench") return CmdServeBench(args);
-  if (command == "soak-bench") return CmdSoakBench(args);
-  if (command == "bench-scaling") return CmdBenchScaling(args);
-  if (command == "stats") return CmdStats(args);
-  return Usage();
+  if (found == nullptr) return Usage();
+  args.Accept(usage);
+  return found->run(args);
 }
