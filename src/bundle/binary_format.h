@@ -43,7 +43,9 @@ namespace dnlr::bundle {
 /// full structural validation of every offset/size — overflow-safe, so a
 /// forged 2^64-1 size cannot wrap past the bounds check). Payload CRCs
 /// cover megabytes and are verified once at pack time plus on demand
-/// (`bundle verify`, ModelBundle::DeserializeBinary), never per map.
+/// (MappedBundle::VerifyPayloadCrcs, which `bundle verify` and
+/// ModelBundle::Deserialize run), never per map. The container fixes the
+/// payload codec: every payload is the section's binary codec.
 inline constexpr std::string_view kBinaryMagic = "dnlrbundle2";
 inline constexpr uint32_t kBinaryFormatVersion = 2;
 inline constexpr size_t kBinaryMagicBytes = 12;

@@ -10,6 +10,7 @@
 
 #include "bundle/binary_format.h"
 #include "bundle/crc32.h"
+#include "bundle/mapped_bundle.h"
 #include "common/binio.h"
 #include "common/file_util.h"
 
@@ -315,71 +316,11 @@ Status ModelBundle::SetRungs(const RungConfig& rungs) {
   return SetSection(kRungsSection, std::move(*text));
 }
 
-bool ModelBundle::HasSection(const std::string& name) const {
-  return FindSection(name) != nullptr;
-}
-
 const std::string* ModelBundle::FindSection(const std::string& name) const {
   for (const Section& section : sections_) {
     if (section.name == name) return &section.payload;
   }
   return nullptr;
-}
-
-namespace {
-
-/// Payload-codec sniffing: binary payloads open with a 4-byte tag
-/// ("MLP2"/"GBT2"/"ZNM2"/"RNG2"); text payloads open with an ASCII keyword
-/// ("mlp"/"ensemble"/"znorm"/"rungs"), so four bytes decide the codec.
-bool PayloadHasTag(const std::string& payload, std::string_view tag) {
-  return payload.size() >= tag.size() &&
-         std::string_view(payload).substr(0, tag.size()) == tag;
-}
-
-}  // namespace
-
-Result<gbdt::Ensemble> ModelBundle::Teacher() const {
-  const std::string* payload = FindSection(kTeacherSection);
-  if (payload == nullptr) {
-    return Status::NotFound("bundle has no teacher section");
-  }
-  if (PayloadHasTag(*payload, "GBT2")) {
-    return gbdt::Ensemble::DeserializeBinary(*payload);
-  }
-  return gbdt::Ensemble::Deserialize(*payload);
-}
-
-Result<nn::Mlp> ModelBundle::Student() const {
-  const std::string* payload = FindSection(kStudentSection);
-  if (payload == nullptr) {
-    return Status::NotFound("bundle has no student section");
-  }
-  if (PayloadHasTag(*payload, "MLP2")) {
-    return nn::Mlp::DeserializeBinary(*payload);
-  }
-  return nn::Mlp::Deserialize(*payload);
-}
-
-Result<data::ZNormalizer> ModelBundle::Normalizer() const {
-  const std::string* payload = FindSection(kNormalizerSection);
-  if (payload == nullptr) {
-    return Status::NotFound("bundle has no normalizer section");
-  }
-  if (PayloadHasTag(*payload, "ZNM2")) {
-    return data::ZNormalizer::DeserializeBinary(*payload);
-  }
-  return DeserializeNormalizer(*payload);
-}
-
-Result<RungConfig> ModelBundle::Rungs() const {
-  const std::string* payload = FindSection(kRungsSection);
-  if (payload == nullptr) {
-    return Status::NotFound("bundle has no rungs section");
-  }
-  if (PayloadHasTag(*payload, "RNG2")) {
-    return RungConfig::DeserializeBinary(*payload);
-  }
-  return RungConfig::Deserialize(*payload);
 }
 
 std::string ModelBundle::Serialize() const {
@@ -399,95 +340,82 @@ std::string ModelBundle::Serialize() const {
 
 namespace {
 
-/// Re-encodes one section payload into the codec paired with `format`,
-/// passing it through untouched when it is already in that codec. The text
+template <typename Model>
+Result<std::string> EncodeBinary(const Result<Model>& model) {
+  if (!model.ok()) return model.status();
+  return model->SerializeBinary();
+}
+
+/// Re-encodes one text section payload into its binary codec. The text
 /// codecs print max_digits10 under the classic locale, so parse + re-encode
 /// round-trips every float bitwise — conversion is score-lossless by
 /// construction.
-Result<std::string> ConvertPayload(const std::string& name,
-                                   const std::string& payload,
-                                   BundleFormat format) {
-  const bool want_binary = format == BundleFormat::kBinary;
+Result<std::string> TextToBinary(const std::string& name,
+                                 const std::string& payload) {
   if (name == kTeacherSection) {
-    if (PayloadHasTag(payload, "GBT2") == want_binary) return payload;
-    Result<gbdt::Ensemble> teacher =
-        want_binary ? gbdt::Ensemble::Deserialize(payload)
-                    : gbdt::Ensemble::DeserializeBinary(payload);
-    if (!teacher.ok()) return teacher.status();
-    return want_binary ? teacher->SerializeBinary() : teacher->Serialize();
+    return EncodeBinary(gbdt::Ensemble::Deserialize(payload));
   }
   if (name == kStudentSection) {
-    if (PayloadHasTag(payload, "MLP2") == want_binary) return payload;
-    Result<nn::Mlp> student = want_binary
-                                  ? nn::Mlp::Deserialize(payload)
-                                  : nn::Mlp::DeserializeBinary(payload);
-    if (!student.ok()) return student.status();
-    return want_binary ? student->SerializeBinary() : student->Serialize();
+    return EncodeBinary(nn::Mlp::Deserialize(payload));
   }
   if (name == kNormalizerSection) {
-    if (PayloadHasTag(payload, "ZNM2") == want_binary) return payload;
-    Result<data::ZNormalizer> normalizer =
-        want_binary ? DeserializeNormalizer(payload)
-                    : data::ZNormalizer::DeserializeBinary(payload);
-    if (!normalizer.ok()) return normalizer.status();
-    return want_binary ? normalizer->SerializeBinary()
-                       : SerializeNormalizer(*normalizer);
+    return EncodeBinary(DeserializeNormalizer(payload));
   }
-  if (name == kRungsSection) {
-    if (PayloadHasTag(payload, "RNG2") == want_binary) return payload;
-    Result<RungConfig> rungs = want_binary
-                                   ? RungConfig::Deserialize(payload)
-                                   : RungConfig::DeserializeBinary(payload);
-    if (!rungs.ok()) return rungs.status();
-    return want_binary ? rungs->SerializeBinary() : rungs->Serialize();
+  // kRungsSection: SetSection and the text parser admit no other name.
+  return EncodeBinary(RungConfig::Deserialize(payload));
+}
+
+/// Decodes a binary container through MappedBundle and stores each model
+/// back under its text codec.
+Result<ModelBundle> DecodeBinary(const std::string& bytes) {
+  Result<MappedBundle> mapped = MappedBundle::FromBytes(bytes);
+  if (!mapped.ok()) return mapped.status();
+  // The layout pass only checks structure; a full decode also pays for the
+  // payload CRCs, so flipped payload bits are caught before any decoder.
+  DNLR_RETURN_IF_ERROR(mapped->VerifyPayloadCrcs());
+  ModelBundle bundle;
+  if (mapped->HasSection(kTeacherSection)) {
+    Result<gbdt::Ensemble> teacher = mapped->Teacher();
+    DNLR_RETURN_IF_ERROR(teacher.ok() ? bundle.SetTeacher(*teacher)
+                                      : teacher.status());
   }
-  return Status::InvalidArgument("unknown bundle section '" + name + "'");
+  if (mapped->HasSection(kStudentSection)) {
+    Result<nn::Mlp> student = mapped->Student();
+    DNLR_RETURN_IF_ERROR(student.ok() ? bundle.SetStudent(*student)
+                                      : student.status());
+  }
+  if (mapped->HasSection(kNormalizerSection)) {
+    Result<data::ZNormalizer> normalizer = mapped->Normalizer();
+    DNLR_RETURN_IF_ERROR(normalizer.ok() ? bundle.SetNormalizer(*normalizer)
+                                         : normalizer.status());
+  }
+  if (mapped->HasSection(kRungsSection)) {
+    Result<RungConfig> rungs = mapped->Rungs();
+    DNLR_RETURN_IF_ERROR(rungs.ok() ? bundle.SetRungs(*rungs) : rungs.status());
+  }
+  return bundle;
 }
 
 }  // namespace
 
 Result<std::string> ModelBundle::SerializeAs(BundleFormat format) const {
-  ModelBundle converted;
+  if (format == BundleFormat::kText) return Serialize();
+  std::vector<Section> binary;
   for (const Section& section : sections_) {
-    Result<std::string> payload =
-        ConvertPayload(section.name, section.payload, format);
+    Result<std::string> payload = TextToBinary(section.name, section.payload);
     if (!payload.ok()) {
       return Status::ParseError("cannot convert section '" + section.name +
                                 "': " + payload.status().message());
     }
-    converted.sections_.push_back(Section{section.name, std::move(*payload)});
+    binary.push_back(Section{section.name, std::move(*payload)});
   }
-  if (format == BundleFormat::kBinary) {
-    return BuildBinaryBundle(converted.sections_);
-  }
-  return converted.Serialize();
-}
-
-Result<ModelBundle> ModelBundle::DeserializeBinary(std::string_view bytes) {
-  Result<std::vector<BinarySectionRange>> layout = ParseBinaryLayout(bytes);
-  if (!layout.ok()) return layout.status();
-  ModelBundle bundle;
-  for (const BinarySectionRange& range : *layout) {
-    // ParseBinaryLayout only checks structure; a full decode additionally
-    // pays for payload CRCs, so flipped payload bits are caught here before
-    // any model parser sees them.
-    std::string_view payload = bytes.substr(range.offset, range.size);
-    const uint32_t actual = Crc32(payload);
-    if (actual != range.crc32) {
-      return Status::ParseError("crc mismatch in section '" + range.name +
-                                "' (header " + CrcHex(range.crc32) +
-                                ", payload " + CrcHex(actual) + ")");
-    }
-    // Layout validation already enforced canonical order and uniqueness.
-    bundle.sections_.push_back(Section{range.name, std::string(payload)});
-  }
-  return bundle;
+  return BuildBinaryBundle(binary);
 }
 
 Result<ModelBundle> ModelBundle::Deserialize(const std::string& bytes) {
-  if (IsBinaryBundle(bytes)) return DeserializeBinary(bytes);
+  if (IsBinaryBundle(bytes)) return DecodeBinary(bytes);
   // Header lines are parsed off an istream; payload bytes are then sliced
-  // out of `bytes` directly so binary payloads pass through untouched.
+  // out of `bytes` directly.
   std::istringstream in = MakeIn(bytes);
   std::string magic;
   uint32_t version = 0;
@@ -584,10 +512,6 @@ Result<ModelBundle> ModelBundle::Deserialize(const std::string& bytes) {
                               " unaccounted)");
   }
   return bundle;
-}
-
-Status ModelBundle::SaveToFile(const std::string& path) const {
-  return AtomicWriteFile(path, Serialize());
 }
 
 Status ModelBundle::SaveToFile(const std::string& path,

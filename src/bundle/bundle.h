@@ -25,7 +25,7 @@ inline constexpr uint32_t kFormatVersion = 1;
 /// The two container formats a bundle serializes to. Text (v1) is the
 /// portable, diffable interchange format; binary (v2, binary_format.h) is
 /// the section-aligned deployment format a server mmaps and loads
-/// zero-copy. Payload codecs pair with the container: a text container
+/// zero-copy. The container fixes the payload codec: a text container
 /// carries text payloads, a binary container carries the "MLP2"/"GBT2"/
 /// "ZNM2"/"RNG2" binary payloads. Conversion between the two is bitwise
 /// score-lossless (the text codecs print max_digits10, so floats round-trip
@@ -77,7 +77,9 @@ struct Section {
   std::string payload;
 };
 
-/// The versioned model-bundle container.
+/// The versioned model-bundle container: the builder and text interchange
+/// type. Its payloads are always the text codecs; typed reads go through
+/// bundle::MappedBundle (mapped_bundle.h), the one typed reader.
 ///
 /// On-disk layout (header is line-oriented ASCII, payload is raw bytes):
 ///
@@ -104,42 +106,28 @@ class ModelBundle {
   Status SetNormalizer(const data::ZNormalizer& normalizer);
   Status SetRungs(const RungConfig& rungs);
 
-  bool HasSection(const std::string& name) const;
   /// Raw payload of a section, or nullptr when absent.
   const std::string* FindSection(const std::string& name) const;
   const std::vector<Section>& sections() const { return sections_; }
 
-  /// Typed getters: parse the matching section. NotFound when the section
-  /// is absent; the model parsers' ParseError otherwise. Each getter sniffs
-  /// the payload codec from its leading bytes ("MLP2"/"GBT2"/"ZNM2"/"RNG2"
-  /// tag = binary, anything else = text), so a bundle deserialized from
-  /// either container format reads back identically.
-  Result<gbdt::Ensemble> Teacher() const;
-  Result<nn::Mlp> Student() const;
-  Result<data::ZNormalizer> Normalizer() const;
-  Result<RungConfig> Rungs() const;
-
   /// v1 text container with payloads exactly as stored.
   std::string Serialize() const;
 
-  /// Serializes to the requested container format, converting every payload
-  /// to that format's paired codec (text↔binary conversion re-encodes via
-  /// parse + serialize, which is bitwise lossless). Fails with the payload
-  /// parser's error if a stored payload is corrupt.
+  /// Serializes to the requested container format. kBinary re-encodes every
+  /// text payload to its binary codec via parse + serialize (bitwise
+  /// lossless), failing with the text parser's error on a corrupt payload.
   Result<std::string> SerializeAs(BundleFormat format) const;
 
-  /// Sniffs the container format from the leading magic and dispatches to
-  /// the v1 text parser or DeserializeBinary.
+  /// Sniffs the container format from the leading magic. A v1 text
+  /// container is sliced into its payloads as stored. A v2 binary container
+  /// is read through MappedBundle: every payload CRC is verified, every
+  /// section decoded, and each model re-encoded to its text codec through
+  /// the Set* methods.
   static Result<ModelBundle> Deserialize(const std::string& bytes);
 
-  /// Full-copy decode of a v2 binary container: validates the layout
-  /// (binary_format.h), then verifies every payload CRC before slicing
-  /// sections out. The zero-copy map path lives in bundle/mapped_bundle.h.
-  static Result<ModelBundle> DeserializeBinary(std::string_view bytes);
-
-  /// Crash-safe save via common::AtomicWriteFile.
-  Status SaveToFile(const std::string& path) const;
-  Status SaveToFile(const std::string& path, BundleFormat format) const;
+  /// Crash-safe save of SerializeAs(format) via common::AtomicWriteFile.
+  Status SaveToFile(const std::string& path,
+                    BundleFormat format = BundleFormat::kText) const;
   static Result<ModelBundle> LoadFromFile(const std::string& path);
 
  private:

@@ -1,5 +1,6 @@
 #include "bundle/mapped_bundle.h"
 
+#include <string>
 #include <utility>
 
 #include "bundle/crc32.h"
@@ -7,9 +8,15 @@
 namespace dnlr::bundle {
 namespace {
 
-bool ViewHasTag(std::string_view payload, std::string_view tag) {
-  return payload.size() >= tag.size() &&
-         payload.substr(0, tag.size()) == tag;
+/// NotFound for an absent section, else the binary codec's decode of it.
+template <typename T>
+Result<T> Decode(const MappedBundle& bundle, const char* section,
+                 Result<T> (*decode)(std::string_view)) {
+  if (!bundle.HasSection(section)) {
+    return Status::NotFound(std::string("bundle has no ") + section +
+                            " section");
+  }
+  return decode(bundle.FindSectionView(section));
 }
 
 }  // namespace
@@ -26,6 +33,10 @@ Result<MappedBundle> MappedBundle::FromFile(common::MappedFile file) {
       ParseBinaryLayout(file.view());
   if (!layout.ok()) return layout.status();
   return MappedBundle(std::move(file), std::move(*layout));
+}
+
+Result<MappedBundle> MappedBundle::FromBytes(std::string bytes) {
+  return FromFile(common::MappedFile::FromBytes(std::move(bytes)));
 }
 
 bool MappedBundle::HasSection(const std::string& name) const {
@@ -45,47 +56,20 @@ std::string_view MappedBundle::FindSectionView(const std::string& name) const {
 }
 
 Result<gbdt::Ensemble> MappedBundle::Teacher() const {
-  const std::string_view payload = FindSectionView(kTeacherSection);
-  if (payload.empty()) {
-    return Status::NotFound("bundle has no teacher section");
-  }
-  if (ViewHasTag(payload, "GBT2")) {
-    return gbdt::Ensemble::DeserializeBinary(payload);
-  }
-  return gbdt::Ensemble::Deserialize(std::string(payload));
+  return Decode(*this, kTeacherSection, &gbdt::Ensemble::DeserializeBinary);
 }
 
 Result<nn::Mlp> MappedBundle::Student() const {
-  const std::string_view payload = FindSectionView(kStudentSection);
-  if (payload.empty()) {
-    return Status::NotFound("bundle has no student section");
-  }
-  if (ViewHasTag(payload, "MLP2")) {
-    return nn::Mlp::DeserializeBinary(payload);
-  }
-  return nn::Mlp::Deserialize(std::string(payload));
+  return Decode(*this, kStudentSection, &nn::Mlp::DeserializeBinary);
 }
 
 Result<data::ZNormalizer> MappedBundle::Normalizer() const {
-  const std::string_view payload = FindSectionView(kNormalizerSection);
-  if (payload.empty()) {
-    return Status::NotFound("bundle has no normalizer section");
-  }
-  if (ViewHasTag(payload, "ZNM2")) {
-    return data::ZNormalizer::DeserializeBinary(payload);
-  }
-  return DeserializeNormalizer(std::string(payload));
+  return Decode(*this, kNormalizerSection,
+                &data::ZNormalizer::DeserializeBinary);
 }
 
 Result<RungConfig> MappedBundle::Rungs() const {
-  const std::string_view payload = FindSectionView(kRungsSection);
-  if (payload.empty()) {
-    return Status::NotFound("bundle has no rungs section");
-  }
-  if (ViewHasTag(payload, "RNG2")) {
-    return RungConfig::DeserializeBinary(payload);
-  }
-  return RungConfig::Deserialize(std::string(payload));
+  return Decode(*this, kRungsSection, &RungConfig::DeserializeBinary);
 }
 
 Status MappedBundle::VerifyPayloadCrcs() const {

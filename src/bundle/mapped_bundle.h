@@ -12,18 +12,20 @@
 
 namespace dnlr::bundle {
 
-/// A v2 binary bundle resident via mmap: the kernel pages model bytes in on
+/// The one typed bundle reader: a v2 binary bundle, resident via mmap or
+/// held in an owned buffer. Mapped, the kernel pages model bytes in on
 /// demand and shares them across processes, and loading never copies the
-/// file into a heap buffer first. Map() runs only the cheap structural
-/// validation (ParseBinaryLayout — header + table CRCs, every offset/size
-/// checked overflow-safely); payload CRCs cost a full scan of the mapping
-/// and are deferred to VerifyPayloadCrcs(), which `dnlr_cli bundle verify`
-/// calls and serving does not.
+/// file into a heap buffer first. Construction runs only the cheap
+/// structural validation (ParseBinaryLayout — header + table CRCs, every
+/// offset/size checked overflow-safely); payload CRCs cost a full scan of
+/// the bytes and are deferred to VerifyPayloadCrcs(), which `dnlr_cli
+/// bundle verify` and ModelBundle::Deserialize call and serving does not.
 ///
-/// The typed getters mirror ModelBundle's exactly (same names, same
-/// Result/NotFound contract), so Servable builds from either
-/// interchangeably. They decode straight out of the mapping — the binary
-/// codecs are bounds-checked memcpy, no intermediate payload string.
+/// The binary container fixes the payload codec, so the typed getters
+/// decode only the binary "GBT2"/"MLP2"/"ZNM2"/"RNG2" codecs, straight out
+/// of the bytes (bounds-checked memcpy, no intermediate payload string). A
+/// text bundle is read by converting it first: ModelBundle::Deserialize →
+/// SerializeAs(kBinary) → FromBytes.
 class MappedBundle {
  public:
   /// Maps `path` and validates the v2 layout. A v1 text bundle fails with
@@ -35,13 +37,18 @@ class MappedBundle {
   /// Wraps an already-opened mapping (e.g. after format sniffing).
   static Result<MappedBundle> FromFile(common::MappedFile file);
 
+  /// Wraps binary-container bytes already in memory (an owned buffer, see
+  /// common::MappedFile::FromBytes).
+  static Result<MappedBundle> FromBytes(std::string bytes);
+
   bool HasSection(const std::string& name) const;
   /// View of a section's payload inside the mapping, or an empty view when
   /// the section is absent. Valid only while this MappedBundle lives.
   std::string_view FindSectionView(const std::string& name) const;
 
-  /// Typed getters, codec-sniffed like ModelBundle's. NotFound when the
-  /// section is absent.
+  /// Typed getters over the binary payload codecs. NotFound when the
+  /// section is absent; the decoder's ParseError otherwise (a text payload
+  /// inside a binary container is one).
   Result<gbdt::Ensemble> Teacher() const;
   Result<nn::Mlp> Student() const;
   Result<data::ZNormalizer> Normalizer() const;
@@ -52,7 +59,8 @@ class MappedBundle {
   Status VerifyPayloadCrcs() const;
 
   const std::vector<BinarySectionRange>& layout() const { return layout_; }
-  /// True when the bytes come from a real mmap (false on the read fallback).
+  /// True when the bytes come from a real mmap (false on the read fallback
+  /// and for FromBytes).
   bool is_mapped() const { return file_.is_mapped(); }
   size_t file_bytes() const { return file_.size(); }
 

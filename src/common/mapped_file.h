@@ -37,6 +37,10 @@ class MappedFile {
   static Result<MappedFile> Open(const std::string& path,
                                  bool prefer_mmap = true);
 
+  /// Wraps bytes already in memory as an owned heap buffer: the same
+  /// view-based API over the read-fallback storage.
+  static MappedFile FromBytes(std::string bytes);
+
   const char* data() const { return data_; }
   size_t size() const { return size_; }
   std::string_view view() const { return {data_, size_}; }

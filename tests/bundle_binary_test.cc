@@ -123,8 +123,7 @@ std::string BinaryBytes(const bundle::ModelBundle& pack) {
 /// codecs print max_digits10 under the classic locale, so two bundles with
 /// equal fingerprints carry bitwise-identical parameters — this is the
 /// same losslessness proof `dnlr_cli bundle bench` gates on.
-template <typename BundleT>
-std::string Fingerprint(const BundleT& bundle) {
+std::string Fingerprint(const bundle::MappedBundle& bundle) {
   std::string out;
   const auto take = [&out](Result<std::string> text) {
     EXPECT_TRUE(text.ok()) << text.status().ToString();
@@ -145,6 +144,16 @@ std::string Fingerprint(const BundleT& bundle) {
   return out;
 }
 
+/// A ModelBundle stores exactly those text serializations, in the same
+/// order, so its fingerprint is its payloads concatenated.
+std::string Fingerprint(const bundle::ModelBundle& pack) {
+  std::string out;
+  for (const bundle::Section& section : pack.sections()) {
+    out += section.payload;
+  }
+  return out;
+}
+
 // ---------------------------------------------------------------------------
 // Round trips: text <-> binary conversion loses nothing, and both mapped
 // and heap-read binary loads materialize the exact same parameters.
@@ -160,7 +169,7 @@ TEST_P(BinaryRoundTripTest, ConversionIsLosslessAndDeterministic) {
 
   const std::string binary = BinaryBytes(pack);
   ASSERT_TRUE(bundle::IsBinaryBundle(binary));
-  auto restored = bundle::ModelBundle::DeserializeBinary(binary);
+  auto restored = bundle::ModelBundle::Deserialize(binary);
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
   EXPECT_EQ(Fingerprint(*restored), expected);
 
@@ -171,10 +180,21 @@ TEST_P(BinaryRoundTripTest, ConversionIsLosslessAndDeterministic) {
   ASSERT_TRUE(text.ok()) << text.status().ToString();
   EXPECT_EQ(*text, pack.Serialize());
 
-  // Format sniffing: the one Deserialize entry point reads both containers.
-  auto sniffed = bundle::ModelBundle::Deserialize(binary);
-  ASSERT_TRUE(sniffed.ok()) << sniffed.status().ToString();
-  EXPECT_EQ(Fingerprint(*sniffed), expected);
+  // A binary load holds text payloads, so the plain text writers emit the
+  // canonical, diffable text container, not one wrapping binary payloads.
+  EXPECT_EQ(restored->Serialize(), pack.Serialize());
+  const std::string path =
+      TempPath("binary_to_text_" + std::to_string(seed) + ".dnlr");
+  ASSERT_TRUE(restored->SaveToFile(path).ok());
+  auto saved = ReadFileToString(path);
+  ASSERT_TRUE(saved.ok()) << saved.status().ToString();
+  EXPECT_EQ(*saved, pack.Serialize());
+
+  // The typed reader over the same bytes held in memory.
+  auto in_memory = bundle::MappedBundle::FromBytes(binary);
+  ASSERT_TRUE(in_memory.ok()) << in_memory.status().ToString();
+  EXPECT_FALSE(in_memory->is_mapped());
+  EXPECT_EQ(Fingerprint(*in_memory), expected);
 }
 
 TEST_P(BinaryRoundTripTest, MappedAndHeapLoadsMatchTheSourceBitwise) {
@@ -288,7 +308,7 @@ class BinaryCorruptionTest : public ::testing::Test {
 
 TEST_F(BinaryCorruptionTest, IntactBytesParse) {
   EXPECT_TRUE(bundle::ParseBinaryLayout(bytes_).ok());
-  EXPECT_TRUE(bundle::ModelBundle::DeserializeBinary(bytes_).ok());
+  EXPECT_TRUE(bundle::ModelBundle::Deserialize(bytes_).ok());
 }
 
 TEST_F(BinaryCorruptionTest, BadMagic) {
@@ -434,7 +454,7 @@ TEST_F(BinaryCorruptionTest, FlippedPayloadByteDefersToDeepValidation) {
 
   // ...while the deep passes (full deserialize, and the deferred CRC sweep
   // `dnlr_cli bundle verify` runs) both catch the flip.
-  auto deep = bundle::ModelBundle::DeserializeBinary(corrupt);
+  auto deep = bundle::ModelBundle::Deserialize(corrupt);
   ASSERT_FALSE(deep.ok());
   EXPECT_EQ(deep.status().code(), StatusCode::kParseError);
   EXPECT_NE(deep.status().message().find("crc mismatch in section"),
@@ -448,6 +468,30 @@ TEST_F(BinaryCorruptionTest, FlippedPayloadByteDefersToDeepValidation) {
   EXPECT_FALSE(crcs.ok());
   EXPECT_NE(crcs.message().find("teacher"), std::string::npos)
       << crcs.ToString();
+}
+
+TEST_F(BinaryCorruptionTest, TextPayloadsInBinaryContainerAreRejected) {
+  // A structurally valid binary container whose payloads are the text
+  // codecs: the container fixes the codec, so every typed read fails.
+  const bundle::ModelBundle pack = MakeFullBundle(5, 6);
+  const std::string mixed = bundle::BuildBinaryBundle(pack.sections());
+  ASSERT_TRUE(bundle::ParseBinaryLayout(mixed).ok());
+
+  auto mapped = bundle::MappedBundle::FromBytes(mixed);
+  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+  EXPECT_EQ(mapped->Teacher().status().code(), StatusCode::kParseError);
+  EXPECT_EQ(mapped->Student().status().code(), StatusCode::kParseError);
+  EXPECT_EQ(mapped->Normalizer().status().code(), StatusCode::kParseError);
+  EXPECT_EQ(mapped->Rungs().status().code(), StatusCode::kParseError);
+  EXPECT_FALSE(bundle::ModelBundle::Deserialize(mixed).ok());
+
+  const std::string path = TempPath("text_payloads.dnlr.bin");
+  ASSERT_TRUE(AtomicWriteFile(path, mixed).ok());
+  serve::ServableOptions options;
+  options.num_features = 6;
+  auto servable = serve::Servable::LoadFromFile(path, options);
+  ASSERT_FALSE(servable.ok());
+  EXPECT_EQ(servable.status().code(), StatusCode::kParseError);
 }
 
 // ---------------------------------------------------------------------------
@@ -542,7 +586,9 @@ TEST(MappedBundleTest, AbsentSectionsReportNotFound) {
 
 // ---------------------------------------------------------------------------
 // Serving parity: a Servable loaded from the binary container reproduces
-// the text-loaded ladder's scores bitwise, over mmap and the read fallback.
+// the text-loaded ladder's scores bitwise. The text load converts to binary
+// bytes held on the heap (MappedBundle::FromBytes); the binary load maps
+// the file, and is also built from the read fallback.
 
 TEST(ServableParityTest, BinaryLoadScoresBitwiseIdenticallyToText) {
   const uint32_t num_features = 6;
@@ -566,14 +612,17 @@ TEST(ServableParityTest, BinaryLoadScoresBitwiseIdenticallyToText) {
                                            docs.data(), kDocs, num_features);
   ASSERT_TRUE(golden.ok()) << golden.status().ToString();
 
-  for (const bool prefer_mmap : {true, false}) {
-    options.prefer_mmap = prefer_mmap;
-    auto from_binary = serve::Servable::LoadFromFile(binary_path, options);
+  auto heap = bundle::MappedBundle::Map(binary_path, /*prefer_mmap=*/false);
+  ASSERT_TRUE(heap.ok()) << heap.status().ToString();
+  for (const bool mapped : {true, false}) {
+    auto from_binary =
+        mapped ? serve::Servable::LoadFromFile(binary_path, options)
+               : serve::Servable::FromBundle(*heap, options);
     ASSERT_TRUE(from_binary.ok()) << from_binary.status().ToString();
     EXPECT_TRUE(serve::RunGoldenSmoke((*from_binary)->ladder(), docs.data(),
                                       kDocs, num_features, &*golden)
                     .ok())
-        << "prefer_mmap=" << prefer_mmap;
+        << "mapped=" << mapped;
   }
 }
 

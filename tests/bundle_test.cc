@@ -19,6 +19,7 @@
 
 #include "bundle/bundle.h"
 #include "bundle/crc32.h"
+#include "bundle/mapped_bundle.h"
 #include "common/file_util.h"
 #include "common/rng.h"
 #include "data/normalize.h"
@@ -129,6 +130,14 @@ std::string TempPath(const std::string& name) {
   return (std::filesystem::path(::testing::TempDir()) / name).string();
 }
 
+/// Typed view of a text bundle through the one typed reader: the
+/// conversion every text load takes (SerializeAs(kBinary) → FromBytes).
+Result<bundle::MappedBundle> Typed(const bundle::ModelBundle& pack) {
+  Result<std::string> bytes = pack.SerializeAs(bundle::BundleFormat::kBinary);
+  if (!bytes.ok()) return bytes.status();
+  return bundle::MappedBundle::FromBytes(std::move(bytes).value());
+}
+
 // ---------------------------------------------------------------------------
 // CRC32
 
@@ -185,8 +194,10 @@ TEST_P(BundleRoundTripTest, ModelsScoreBitwiseIdenticallyAfterRoundTrip) {
   ASSERT_TRUE(pack.SetStudent(student).ok());
   auto restored = bundle::ModelBundle::Deserialize(pack.Serialize());
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
-  auto teacher2 = restored->Teacher();
-  auto student2 = restored->Student();
+  auto typed = Typed(*restored);
+  ASSERT_TRUE(typed.ok()) << typed.status().ToString();
+  auto teacher2 = typed->Teacher();
+  auto student2 = typed->Student();
   ASSERT_TRUE(teacher2.ok()) << teacher2.status().ToString();
   ASSERT_TRUE(student2.ok()) << student2.status().ToString();
 
@@ -537,11 +548,13 @@ TEST(BundleFileTest, SaveLoadRoundTrip) {
   auto loaded = bundle::ModelBundle::LoadFromFile(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(loaded->Serialize(), pack.Serialize());
-  EXPECT_TRUE(loaded->Teacher().ok());
-  EXPECT_TRUE(loaded->Student().ok());
-  EXPECT_TRUE(loaded->Normalizer().ok());
-  ASSERT_TRUE(loaded->Rungs().ok());
-  EXPECT_EQ(loaded->Rungs()->rungs.size(), 3u);
+  auto typed = Typed(*loaded);
+  ASSERT_TRUE(typed.ok()) << typed.status().ToString();
+  EXPECT_TRUE(typed->Teacher().ok());
+  EXPECT_TRUE(typed->Student().ok());
+  EXPECT_TRUE(typed->Normalizer().ok());
+  ASSERT_TRUE(typed->Rungs().ok());
+  EXPECT_EQ(typed->Rungs()->rungs.size(), 3u);
 }
 
 TEST(BundleFileTest, MissingSectionsReportNotFound) {
@@ -550,10 +563,12 @@ TEST(BundleFileTest, MissingSectionsReportNotFound) {
   auto restored =
       bundle::ModelBundle::Deserialize(empty_teacher.Serialize());
   ASSERT_TRUE(restored.ok());
-  EXPECT_EQ(restored->Teacher().status().code(), StatusCode::kNotFound);
-  EXPECT_EQ(restored->Student().status().code(), StatusCode::kNotFound);
-  EXPECT_EQ(restored->Normalizer().status().code(), StatusCode::kNotFound);
-  EXPECT_TRUE(restored->Rungs().ok());
+  auto typed = Typed(*restored);
+  ASSERT_TRUE(typed.ok()) << typed.status().ToString();
+  EXPECT_EQ(typed->Teacher().status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(typed->Student().status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(typed->Normalizer().status().code(), StatusCode::kNotFound);
+  EXPECT_TRUE(typed->Rungs().ok());
 }
 
 }  // namespace

@@ -16,12 +16,14 @@
 #include <future>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
 
 #include "bundle/bundle.h"
+#include "bundle/mapped_bundle.h"
 #include "common/rng.h"
 #include "common/status.h"
 #include "data/normalize.h"
@@ -337,6 +339,16 @@ bundle::ModelBundle MakeServableBundle(uint64_t seed, uint32_t num_features) {
   return pack;
 }
 
+/// Loads a Servable from a packed bundle's binary bytes held in memory.
+Result<std::unique_ptr<serve::Servable>> FromPack(
+    const bundle::ModelBundle& pack) {
+  Result<std::string> bytes = pack.SerializeAs(bundle::BundleFormat::kBinary);
+  if (!bytes.ok()) return bytes.status();
+  auto mapped = bundle::MappedBundle::FromBytes(std::move(bytes).value());
+  if (!mapped.ok()) return mapped.status();
+  return serve::Servable::FromBundle(*mapped);
+}
+
 TEST(ReloadTest, SameBundleSwapIsBitwiseScoreIdentical) {
   constexpr uint32_t kFeatures = 5;
   constexpr uint32_t kDocs = 16;
@@ -344,8 +356,8 @@ TEST(ReloadTest, SameBundleSwapIsBitwiseScoreIdentical) {
 
   // Two independent loads of the same bundle, as a restarting loader would
   // produce: nothing is shared between the generations but the bytes.
-  auto first = serve::Servable::FromBundle(pack);
-  auto second = serve::Servable::FromBundle(pack);
+  auto first = FromPack(pack);
+  auto second = FromPack(pack);
   ASSERT_TRUE(first.ok()) << first.status().ToString();
   ASSERT_TRUE(second.ok()) << second.status().ToString();
   std::shared_ptr<const serve::Servable> servable1 = std::move(*first);
@@ -392,7 +404,7 @@ TEST(ReloadTest, SameBundleSwapIsBitwiseScoreIdentical) {
   }
 
   // And a candidate whose scores differ is caught by the same gate.
-  auto different = serve::Servable::FromBundle(MakeServableBundle(78, kFeatures));
+  auto different = FromPack(MakeServableBundle(78, kFeatures));
   ASSERT_TRUE(different.ok()) << different.status().ToString();
   const Status rejected = engine.SwapModel(
       serve::Servable::LadderHandle(

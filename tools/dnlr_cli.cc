@@ -21,6 +21,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "bundle/bundle.h"
@@ -893,9 +894,8 @@ int CmdBundlePack(const Args& args) {
   }
 
   if (!EnsureParentDir(out)) return 1;
-  // SaveToFile(path, format) pairs the payload codecs with the container
-  // (text payloads in a text container, binary in binary), converting
-  // whatever --in provided.
+  // The container fixes the payload codec: SaveToFile(path, kBinary)
+  // re-encodes the text payloads, kText writes them as they are.
   const Status status = pack.SaveToFile(
       out, binary ? bundle::BundleFormat::kBinary : bundle::BundleFormat::kText);
   if (Failed(status)) return 1;
@@ -910,7 +910,9 @@ int CmdBundlePack(const Args& args) {
 
 /// bundle unpack: verifies a bundle and writes each section back out as the
 /// standalone per-model text file it was packed from (crash-safely, so an
-/// interrupted unpack never leaves torn model files either).
+/// interrupted unpack never leaves torn model files either). ModelBundle
+/// payloads are always the text codecs, so a binary bundle unpacks to the
+/// same files its text twin does.
 int CmdBundleUnpack(const Args& args) {
   const std::string in = args.Require("in");
   const std::string dir = args.Get("out-dir", ".");
@@ -920,13 +922,6 @@ int CmdBundleUnpack(const Args& args) {
     std::fprintf(stderr, "%s: bundle has no sections\n", in.c_str());
     return 1;
   }
-  // Normalize to the text codecs first so a binary bundle unpacks to the
-  // same standalone .txt model files a text bundle does (the conversion is
-  // bitwise score-lossless).
-  auto text_bytes = loaded->SerializeAs(bundle::BundleFormat::kText);
-  if (Failed(text_bytes.status())) return 1;
-  loaded = bundle::ModelBundle::Deserialize(*text_bytes);
-  if (Failed(loaded.status())) return 1;
   for (const bundle::Section& section : loaded->sections()) {
     const std::string path =
         (std::filesystem::path(dir) / (section.name + ".txt")).string();
@@ -939,49 +934,46 @@ int CmdBundleUnpack(const Args& args) {
 }
 
 /// bundle verify: structural check (magic, version, section order, lengths,
-/// CRC32s) plus a full parse and deep validation of every section it can
-/// type — the CI gate proving a packed artifact is servable. Handles both
-/// container formats; for a binary bundle it additionally exercises the
-/// mmap path (MappedBundle layout validation + the deferred payload-CRC
-/// pass serving skips).
+/// CRC32s) plus a full parse and deep validation of every section — the CI
+/// gate proving a packed artifact is servable. The file is read once, and
+/// every section is typed through MappedBundle: a binary bundle is mapped
+/// and also gets the deferred payload-CRC pass serving skips; a text bundle
+/// is converted to the binary codecs in memory, which runs every section's
+/// text parser.
 int CmdBundleVerify(const Args& args) {
   const std::string in = args.Require("in");
   const auto features = static_cast<uint32_t>(args.GetInt("features", 0));
-  auto raw = ReadFileToString(in);
-  if (!raw.ok()) {
-    std::fprintf(stderr, "%s: %s\n", in.c_str(),
-                 raw.status().ToString().c_str());
+  const auto fail = [&in](const char* stage, const Status& status) {
+    std::fprintf(stderr, "%s: %s%s\n", in.c_str(), stage,
+                 status.ToString().c_str());
     return 1;
-  }
-  const bool binary = bundle::IsBinaryBundle(*raw);
+  };
+  auto file = common::MappedFile::Open(in);
+  if (!file.ok()) return fail("", file.status());
+  const bool binary = bundle::IsBinaryBundle(file->view());
+  bundle::ModelBundle text;  // the parsed input, for a text bundle
+  auto mapped = [&]() -> Result<bundle::MappedBundle> {
+    if (binary) return bundle::MappedBundle::FromFile(std::move(*file));
+    auto parsed = bundle::ModelBundle::Deserialize(std::string(file->view()));
+    if (!parsed.ok()) return parsed.status();
+    text = std::move(parsed).value();
+    auto bytes = text.SerializeAs(bundle::BundleFormat::kBinary);
+    if (!bytes.ok()) return bytes.status();
+    return bundle::MappedBundle::FromBytes(std::move(bytes).value());
+  }();
+  if (!mapped.ok()) return fail(binary ? "mmap path: " : "", mapped.status());
   if (binary) {
-    auto mapped = bundle::MappedBundle::Map(in);
-    if (!mapped.ok()) {
-      std::fprintf(stderr, "%s: mmap path: %s\n", in.c_str(),
-                   mapped.status().ToString().c_str());
-      return 1;
-    }
     const Status crcs = mapped->VerifyPayloadCrcs();
-    if (!crcs.ok()) {
-      std::fprintf(stderr, "%s: mmap path: %s\n", in.c_str(),
-                   crcs.ToString().c_str());
-      return 1;
-    }
+    if (!crcs.ok()) return fail("mmap path: ", crcs);
     std::printf("mmap: %s, %zu bytes, payload crcs ok\n",
                 mapped->is_mapped() ? "mapped" : "read fallback",
                 mapped->file_bytes());
   }
-  auto loaded = bundle::ModelBundle::Deserialize(*raw);
-  if (!loaded.ok()) {
-    std::fprintf(stderr, "%s: %s\n", in.c_str(),
-                 loaded.status().ToString().c_str());
-    return 1;
-  }
   bool ok = true;
-  for (const bundle::Section& section : loaded->sections()) {
+  for (const bundle::BinarySectionRange& section : mapped->layout()) {
     std::string verdict = "ok";
     if (section.name == bundle::kTeacherSection) {
-      auto teacher = loaded->Teacher();
+      auto teacher = mapped->Teacher();
       if (teacher.ok()) {
         validate::Report report;
         gbdt::ValidateEnsemble(*teacher, features,
@@ -991,7 +983,7 @@ int CmdBundleVerify(const Args& args) {
         verdict = teacher.status().ToString();
       }
     } else if (section.name == bundle::kStudentSection) {
-      auto student = loaded->Student();
+      auto student = mapped->Student();
       if (student.ok()) {
         validate::Report report;
         nn::ValidateMlp(*student, validate::Checker(&report, "student"));
@@ -1000,21 +992,22 @@ int CmdBundleVerify(const Args& args) {
         verdict = student.status().ToString();
       }
     } else if (section.name == bundle::kNormalizerSection) {
-      auto normalizer = loaded->Normalizer();
+      auto normalizer = mapped->Normalizer();
       if (!normalizer.ok()) verdict = normalizer.status().ToString();
-    } else if (section.name == bundle::kRungsSection) {
-      auto rungs = loaded->Rungs();
+    } else {  // rungs: the layout admits no other section name
+      auto rungs = mapped->Rungs();
       if (!rungs.ok()) verdict = rungs.status().ToString();
-    } else {
-      verdict = "unknown section";
     }
-    std::printf("%-10s %8zu bytes  %s\n", section.name.c_str(),
-                section.payload.size(), verdict.c_str());
+    // Byte counts are the section sizes as stored in the input file.
+    const size_t bytes =
+        binary ? section.size : text.FindSection(section.name)->size();
+    std::printf("%-10s %8zu bytes  %s\n", section.name.c_str(), bytes,
+                verdict.c_str());
     if (verdict != "ok") ok = false;
   }
   std::printf("%s: %s (%s, %zu section(s))\n", in.c_str(),
               ok ? "bundle ok" : "bundle INVALID", binary ? "binary" : "text",
-              loaded->sections().size());
+              mapped->layout().size());
   return ok ? 0 : 1;
 }
 
@@ -1107,42 +1100,35 @@ int CmdBundleBench(const Args& args) {
   }
   if (Failed(status)) return 1;
 
-  // Canonical text serializations of every model materialized on the first
+  // The canonical text container of the models materialized on the first
   // iteration of each path; equal strings = bitwise-equal parameters (the
   // text codecs print max_digits10).
-  std::string text_fingerprint;
-  std::string binary_fingerprint;
-  const auto fingerprint =
-      [](const gbdt::Ensemble& t, const nn::Mlp& s,
-         const data::ZNormalizer& n,
-         const bundle::RungConfig& r) -> Result<std::string> {
-    auto ts = t.Serialize();
-    if (!ts.ok()) return ts.status();
-    auto ss = s.Serialize();
-    if (!ss.ok()) return ss.status();
-    auto ns = bundle::SerializeNormalizer(n);
-    if (!ns.ok()) return ns.status();
-    auto rs = r.Serialize();
-    if (!rs.ok()) return rs.status();
-    return *ts + *ss + *ns + *rs;
+  const auto fingerprint = [](const auto& teacher, const auto& student,
+                              const auto& normalizer,
+                              const auto& rungs) -> Result<std::string> {
+    bundle::ModelBundle models;
+    Status status = models.SetTeacher(*teacher);
+    if (status.ok()) status = models.SetStudent(*student);
+    if (status.ok()) status = models.SetNormalizer(*normalizer);
+    if (status.ok()) status = models.SetRungs(*rungs);
+    if (!status.ok()) return status;
+    return models.Serialize();
   };
 
-  // Best-of-iters cold load + materialization through `load` (a text
-  // ModelBundle or a MappedBundle: both expose the same model getters); the
-  // first iteration's models are fingerprinted into `fp`.
+  // Best-of-iters cold load (`load` opens the container) + materialization
+  // (`decode` returns the four model decoders' Results over it); the first
+  // iteration's models are fingerprinted into `fp`.
   using Clock = std::chrono::steady_clock;
-  const auto time_loads = [&](const auto& load, double* best_us,
-                              std::string* fp) {
+  const auto time_loads = [&](const auto& load, const auto& decode,
+                              double* best_us, std::string* fp) {
     *best_us = std::numeric_limits<double>::infinity();
     for (int i = 0; i < iters; ++i) {
       const auto start = Clock::now();
       auto loaded = load();
       if (Failed(loaded.status())) return false;
-      auto lt = loaded->Teacher();
-      auto ls = loaded->Student();
-      auto ln = loaded->Normalizer();
-      auto lr = loaded->Rungs();
-      if (!lt.ok() || !ls.ok() || !ln.ok() || !lr.ok()) {
+      const auto models = decode(*loaded);
+      if (!std::apply([](const auto&... m) { return (m.ok() && ...); },
+                      models)) {
         std::fprintf(stderr, "load failed to materialize a model\n");
         return false;
       }
@@ -1150,7 +1136,7 @@ int CmdBundleBench(const Args& args) {
           Clock::now() - start;
       *best_us = std::min(*best_us, elapsed.count());
       if (i == 0) {
-        auto fingerprinted = fingerprint(*lt, *ls, *ln, *lr);
+        auto fingerprinted = std::apply(fingerprint, models);
         if (Failed(fingerprinted.status())) return false;
         *fp = std::move(*fingerprinted);
       }
@@ -1159,17 +1145,34 @@ int CmdBundleBench(const Args& args) {
   };
   double text_us = 0.0;
   double binary_us = 0.0;
+  std::string text_fingerprint;
+  std::string binary_fingerprint;
   bool mmap_used = false;
   const auto load_text = [&] {
     return bundle::ModelBundle::LoadFromFile(text_path);
+  };
+  // The text load: the four text parsers over the container's payloads,
+  // stored in canonical order (teacher, student, normalizer, rungs).
+  const auto parse_text = [](const bundle::ModelBundle& loaded) {
+    const std::vector<bundle::Section>& s = loaded.sections();
+    DNLR_CHECK_EQ(s.size(), 4u);
+    return std::make_tuple(gbdt::Ensemble::Deserialize(s[0].payload),
+                           nn::Mlp::Deserialize(s[1].payload),
+                           bundle::DeserializeNormalizer(s[2].payload),
+                           bundle::RungConfig::Deserialize(s[3].payload));
   };
   const auto load_binary = [&] {
     auto mapped = bundle::MappedBundle::Map(binary_path);
     mmap_used = mapped.ok() && mapped->is_mapped();
     return mapped;
   };
-  if (!time_loads(load_text, &text_us, &text_fingerprint) ||
-      !time_loads(load_binary, &binary_us, &binary_fingerprint)) {
+  const auto decode_binary = [](const bundle::MappedBundle& mapped) {
+    return std::make_tuple(mapped.Teacher(), mapped.Student(),
+                           mapped.Normalizer(), mapped.Rungs());
+  };
+  if (!time_loads(load_text, parse_text, &text_us, &text_fingerprint) ||
+      !time_loads(load_binary, decode_binary, &binary_us,
+                  &binary_fingerprint)) {
     return 1;
   }
 
