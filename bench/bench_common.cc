@@ -9,6 +9,7 @@
 
 #include "common/timer.h"
 #include "data/synthetic.h"
+#include "mm/gemm.h"
 #include "prune/schedule.h"
 
 namespace dnlr::benchx {
@@ -158,7 +159,10 @@ nn::Mlp GetStudent(const std::string& tag, const data::DatasetSplits& splits,
 
 const predict::DenseTimePredictor& DensePredictor() {
   static const predict::DenseTimePredictor predictor = [] {
-    const std::string path = CachePath("dense_predictor", ".txt");
+    // Keyed on the micro-kernel: a calibration of another kernel's speed
+    // is recalibrated, not read.
+    const std::string path = CachePath(
+        std::string("dense_predictor_") + mm::GemmKernelName(), ".txt");
     if (fs::exists(path)) {
       std::ifstream file(path);
       std::ostringstream buffer;

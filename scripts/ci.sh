@@ -24,6 +24,11 @@ scripts/check.sh release asan-ubsan
 # 5-15x slowdown would dominate CI time.
 DNLR_TEST_ARGS="-L threaded" scripts/check.sh tsan
 
+# The default micro-kernel follows the target ISA: on an AVX-512 host the
+# presets above run the 12x32 kernel, so the avx2 preset (-mavx2 -mfma, no
+# -march=native) keeps the 6x16 default and its GemmParams under test.
+DNLR_TEST_ARGS="-R Gemm|Packed|Sdmm|Distill|Neural" scripts/check.sh avx2
+
 # Threading-regression gates: the scaling bench runs both workload configs
 # with the release binary and fails the run (exit 1) if either gate trips.
 #   small — tiny per-call batches near the parallel crossover. T=2 must stay
@@ -149,6 +154,7 @@ for preset in asan-ubsan tsan; do
 done
 [ "${fail}" -eq 0 ] || exit 1
 echo "ci.sh: static analysis + release + asan-ubsan + tsan(threaded) +" \
+     "avx2 default kernel +" \
      "scaling small/large gates + bundle verify/reload (text + binary," \
      "10x load gate) + tenant-isolation soak + traffic-replay soak" \
      "(score-cache SLO) gates green, no sanitizer reports"

@@ -12,6 +12,9 @@
 #if defined(__AVX2__) && defined(__FMA__)
 #define DNLR_GEMM_SIMD 1
 #include <immintrin.h>
+#if defined(__AVX512F__)
+#define DNLR_GEMM_AVX512 1
+#endif
 #endif
 
 namespace dnlr::mm {
@@ -25,25 +28,36 @@ void PackA(const Matrix& a, uint32_t row0, uint32_t mb, uint32_t col0,
            uint32_t kb, uint32_t mr, float* packed) {
   for (uint32_t ir = 0; ir < mb; ir += mr) {
     const uint32_t rows = std::min(mr, mb - ir);
-    for (uint32_t p = 0; p < kb; ++p) {
-      for (uint32_t r = 0; r < mr; ++r) {
-        *packed++ =
-            r < rows ? a.At(row0 + ir + r, col0 + p) : 0.0f;
+    const size_t panel_floats = static_cast<size_t>(kb) * mr;
+    // Only the edge panel has padding rows: zero it whole, then scatter
+    // each source row, read contiguously, with stride mr.
+    if (rows < mr) std::fill_n(packed, panel_floats, 0.0f);
+    for (uint32_t r = 0; r < rows; ++r) {
+      const float* src = a.Row(row0 + ir + r) + col0;
+      float* dst = packed + r;
+      for (uint32_t p = 0; p < kb; ++p) {
+        dst[static_cast<size_t>(p) * mr] = src[p];
       }
     }
+    packed += panel_floats;
   }
 }
 
 /// Packs the B panel B[row0:row0+kb, col0:col0+nb] into `packed`, arranged
 /// as ceil(nb/nr) column-panels; within a panel, nr consecutive B values per
-/// k step (row-major micro-panels). Columns beyond the panel are zero
-/// padded.
+/// k step (row-major micro-panels). Full panels are row copies; the edge
+/// panel's columns beyond nb are zero padded.
 void PackB(const Matrix& b, uint32_t row0, uint32_t kb, uint32_t col0,
            uint32_t nb, uint32_t nr, float* packed) {
   for (uint32_t jr = 0; jr < nb; jr += nr) {
     const uint32_t cols = std::min(nr, nb - jr);
     for (uint32_t p = 0; p < kb; ++p) {
       const float* row = b.Row(row0 + p) + col0 + jr;
+      if (cols == nr) {
+        std::memcpy(packed, row, sizeof(float) * nr);
+        packed += nr;
+        continue;
+      }
       for (uint32_t c = 0; c < nr; ++c) {
         *packed++ = c < cols ? row[c] : 0.0f;
       }
@@ -119,14 +133,114 @@ void MicroKernel6x16Avx2(uint32_t kb, const float* a_panel,
 }
 #endif  // DNLR_GEMM_SIMD
 
+#ifdef DNLR_GEMM_AVX512
+/// AVX-512 micro-kernel for mr = 12 and nr = 16 * kVecs (1 or 2 zmm per
+/// row): the first kRows rows of the C tile live in kRows * kVecs
+/// accumulators and are stored straight into C, with no tile buffer in
+/// between. kRows < 12 serves an edge panel of at most kRows rows, whose
+/// padding rows would only multiply zeros. Each C element is the same FMA
+/// chain over k, from +0, as in the 6x16 kernel, and the store does what
+/// StoreTile does: the first KC panel stores 0 + acc, later panels
+/// C + acc, and the last adds the bias and clamps with max(0, .) and
+/// min(6, .), in Sdmm's VectorFinish order. Column tails are masked; rows
+/// at and past `rows` are not stored.
+template <int kRows, int kVecs>
+void MicroKernel12Avx512(uint32_t kb, const float* a_panel,
+                         const float* b_panel, uint32_t rows, uint32_t cols,
+                         bool first_panel, bool last_panel,
+                         const Epilogue& epilogue, uint32_t row0,
+                         uint32_t col0, Matrix* c) {
+  constexpr int kMr = 12;
+  constexpr int kNr = 16 * kVecs;
+  __m512 acc[kRows][kVecs];
+#pragma GCC unroll 12
+  for (int r = 0; r < kRows; ++r) {
+#pragma GCC unroll 2
+    for (int v = 0; v < kVecs; ++v) acc[r][v] = _mm512_setzero_ps();
+  }
+  for (uint32_t p = 0; p < kb; ++p) {
+    __m512 b[kVecs];
+#pragma GCC unroll 2
+    for (int v = 0; v < kVecs; ++v) b[v] = _mm512_loadu_ps(b_panel + 16 * v);
+    b_panel += kNr;
+#pragma GCC unroll 12
+    for (int r = 0; r < kRows; ++r) {
+      const __m512 a = _mm512_set1_ps(a_panel[r]);
+#pragma GCC unroll 2
+      for (int v = 0; v < kVecs; ++v) {
+        acc[r][v] = _mm512_fmadd_ps(a, b[v], acc[r][v]);
+      }
+    }
+    a_panel += kMr;
+  }
+
+  __mmask16 mask[kVecs];
+#pragma GCC unroll 2
+  for (int v = 0; v < kVecs; ++v) {
+    const uint32_t skip = 16u * v;
+    const uint32_t width = cols > skip ? std::min(cols - skip, 16u) : 0u;
+    mask[v] = static_cast<__mmask16>((1u << width) - 1u);
+  }
+  const bool bias = last_panel && epilogue.bias != nullptr;
+  const bool relu6 = last_panel && epilogue.relu6;
+  const __m512 zero = _mm512_setzero_ps();
+  const __m512 six = _mm512_set1_ps(6.0f);
+#pragma GCC unroll 12
+  for (int r = 0; r < kRows; ++r) {
+    if (static_cast<uint32_t>(r) >= rows) break;
+    float* c_row = c->Row(row0 + r) + col0;
+    const __m512 bias_r =
+        _mm512_set1_ps(bias ? epilogue.bias[row0 + r] : 0.0f);
+#pragma GCC unroll 2
+    for (int v = 0; v < kVecs; ++v) {
+      if (mask[v] == 0) continue;
+      float* out = c_row + 16 * v;
+      __m512 sum = first_panel
+                       ? _mm512_add_ps(zero, acc[r][v])
+                       : _mm512_add_ps(_mm512_maskz_loadu_ps(mask[v], out),
+                                       acc[r][v]);
+      if (bias) sum = _mm512_add_ps(sum, bias_r);
+      if (relu6) {  // the maskz forms: GCC 12 warns on the unmasked ones
+        sum = _mm512_maskz_max_ps(mask[v], zero, sum);
+        sum = _mm512_maskz_min_ps(mask[v], six, sum);
+      }
+      _mm512_mask_storeu_ps(out, mask[v], sum);
+    }
+  }
+}
+
+/// Runs the 12-row AVX-512 kernel on one micro-panel, computing only as
+/// many rows (4, 8 or 12) as the panel holds: the student's scoring layer
+/// has m = 1.
+template <int kVecs>
+void MicroKernelAvx512(uint32_t kb, const float* a_panel, const float* b_panel,
+                       uint32_t rows, uint32_t cols, bool first_panel,
+                       bool last_panel, const Epilogue& epilogue,
+                       uint32_t row0, uint32_t col0, Matrix* c) {
+  if (rows <= 4) {
+    MicroKernel12Avx512<4, kVecs>(kb, a_panel, b_panel, rows, cols,
+                                  first_panel, last_panel, epilogue, row0,
+                                  col0, c);
+  } else if (rows <= 8) {
+    MicroKernel12Avx512<8, kVecs>(kb, a_panel, b_panel, rows, cols,
+                                  first_panel, last_panel, epilogue, row0,
+                                  col0, c);
+  } else {
+    MicroKernel12Avx512<12, kVecs>(kb, a_panel, b_panel, rows, cols,
+                                   first_panel, last_panel, epilogue, row0,
+                                   col0, c);
+  }
+}
+#endif  // DNLR_GEMM_AVX512
+
 /// Per-OS-thread packing scratch, reused across (jc, pc) iterations,
 /// ParallelFor calls, and whole GEMM calls: the pool's chunk bodies run on
 /// a fixed set of worker threads (plus the caller), so thread-local storage
 /// gives every executing thread one persistent PackA block, micro-tile and
 /// packed-B panel without any per-call allocation or locking. Contents are
 /// never read before being written (PackA/PackB fully write every region
-/// the kernels later read, and the tile is fully stored by both kernels),
-/// so reuse cannot change results.
+/// the kernels later read, and the AVX2 and scalar kernels fully store the
+/// tile they hand to StoreTile), so reuse cannot change results.
 struct GemmScratch {
   AlignedBuffer packed_a;
   AlignedBuffer tile;
@@ -149,8 +263,12 @@ GemmParams GemmParams::TailoredTo(uint32_t m, uint32_t n, uint32_t k) const {
   GemmParams tailored = *this;
   // The oneDNN small-shape refinement quoted in the paper:
   //   m_c = rnd_up(min(max(m, m_r), m_c), m_r), and similarly for n_c / k_c.
+#ifdef DNLR_GEMM_AVX512
+  if (tailored.mr == 12 && tailored.nr == 32 && n <= 16) tailored.nr = 16;
+#endif
   tailored.mc = RoundUp(std::min(std::max(m, mr), mc), mr);
-  tailored.nc = RoundUp(std::min(std::max(n, nr), nc), nr);
+  tailored.nc =
+      RoundUp(std::min(std::max(n, tailored.nr), nc), tailored.nr);
   tailored.kc = std::min(std::max(k, 1u), kc);
   return tailored;
 }
@@ -210,12 +328,29 @@ void StoreTile(const float* tile, uint32_t nr, uint32_t rows, uint32_t cols,
   }
 }
 
+/// The micro-kernel a tailored (mr, nr) runs. Any other tile runs the
+/// scalar kernel.
+enum class MicroKernel { kScalar, kAvx2x6x16, kAvx512x12x16, kAvx512x12x32 };
+
+MicroKernel ChooseMicroKernel([[maybe_unused]] uint32_t mr,
+                              [[maybe_unused]] uint32_t nr) {
+#ifdef DNLR_GEMM_AVX512
+  if (mr == 12 && nr == 32) return MicroKernel::kAvx512x12x32;
+  if (mr == 12 && nr == 16) return MicroKernel::kAvx512x12x16;
+#endif
+#ifdef DNLR_GEMM_SIMD
+  if (mr == 6 && nr == 16) return MicroKernel::kAvx2x6x16;
+#endif
+  return MicroKernel::kScalar;
+}
+
 /// Runs the macro-kernel for one MC-row block of A: streams the packed A
 /// block's micro-panels against the already-packed B panel and stores each
 /// tile into C. This is the unit of work the parallel path distributes;
-/// `tile` is scratch owned by one chunk.
+/// `tile` is scratch owned by one chunk (unused by the AVX-512 kernels,
+/// which store from registers).
 void RunMacroBlock(const float* packed_a, Matrix* c, const GemmParams& params,
-                   bool use_simd, uint32_t ic, uint32_t mb, uint32_t jc,
+                   MicroKernel kernel, uint32_t ic, uint32_t mb, uint32_t jc,
                    uint32_t nb, uint32_t kb, const float* packed_b,
                    bool first_panel, bool last_panel, const Epilogue& epilogue,
                    float* tile) {
@@ -229,18 +364,27 @@ void RunMacroBlock(const float* packed_a, Matrix* c, const GemmParams& params,
     for (uint32_t ir = 0; ir < mb; ir += mr) {
       const uint32_t rows = std::min(mr, mb - ir);
       const float* a_panel = packed_a + static_cast<size_t>(ir / mr) * kb * mr;
-#ifdef DNLR_GEMM_SIMD
-      if (use_simd) {
-        MicroKernel6x16Avx2(kb, a_panel, b_panel, tile);
-      } else {
-        std::memset(tile, 0, sizeof(float) * mr * nr);
-        MicroKernelScalar(kb, mr, nr, a_panel, b_panel, tile);
-      }
-#else
-      (void)use_simd;  // no SIMD kernel compiled in; flag has no effect here
-      std::memset(tile, 0, sizeof(float) * mr * nr);
-      MicroKernelScalar(kb, mr, nr, a_panel, b_panel, tile);
+      switch (kernel) {
+#ifdef DNLR_GEMM_AVX512
+        case MicroKernel::kAvx512x12x32:
+          MicroKernelAvx512<2>(kb, a_panel, b_panel, rows, cols, first_panel,
+                               last_panel, epilogue, ic + ir, jc + jr, c);
+          continue;
+        case MicroKernel::kAvx512x12x16:
+          MicroKernelAvx512<1>(kb, a_panel, b_panel, rows, cols, first_panel,
+                               last_panel, epilogue, ic + ir, jc + jr, c);
+          continue;
 #endif
+#ifdef DNLR_GEMM_SIMD
+        case MicroKernel::kAvx2x6x16:
+          MicroKernel6x16Avx2(kb, a_panel, b_panel, tile);
+          break;
+#endif
+        default:
+          std::memset(tile, 0, sizeof(float) * mr * nr);
+          MicroKernelScalar(kb, mr, nr, a_panel, b_panel, tile);
+          break;
+      }
       StoreTile(tile, nr, rows, cols, first_panel, last_panel, epilogue,
                 ic + ir, jc + jr, c);
     }
@@ -275,11 +419,7 @@ void GemmImpl(const Matrix* a, const PackedMatrix* packed, const Matrix& b,
     return;
   }
 
-#ifdef DNLR_GEMM_SIMD
-  const bool use_simd = (mr == 6 && nr == 16);
-#else
-  const bool use_simd = false;
-#endif
+  const MicroKernel kernel = ChooseMicroKernel(mr, nr);
 
   const uint32_t num_ic_blocks = (m + params.mc - 1) / params.mc;
   // Work-size crossover: below min_parallel_flops the coordination cost of
@@ -329,7 +469,7 @@ void GemmImpl(const Matrix* a, const PackedMatrix* packed, const Matrix& b,
             PackA(*a, ic, mb, pc, kb, mr, scratch.packed_a.data());
             packed_a = scratch.packed_a.data();
           }
-          RunMacroBlock(packed_a, c, params, use_simd, ic, mb, jc, nb, kb,
+          RunMacroBlock(packed_a, c, params, kernel, ic, mb, jc, nb, kb,
                         packed_b.data(), first_panel, last_panel, epilogue,
                         scratch.tile.data());
         }
@@ -394,12 +534,16 @@ void GemmReference(const Matrix& a, const Matrix& b, Matrix* c) {
   }
 }
 
-bool GemmHasSimd() {
-#ifdef DNLR_GEMM_SIMD
-  return true;
-#else
-  return false;
-#endif
+const char* GemmKernelName() {
+  const GemmParams defaults;
+  switch (ChooseMicroKernel(defaults.mr, defaults.nr)) {
+    case MicroKernel::kAvx512x12x32:
+      return "avx512-12x32";
+    case MicroKernel::kAvx2x6x16:
+      return "avx2-6x16";
+    default:
+      return "scalar";
+  }
 }
 
 namespace {

@@ -17,12 +17,19 @@ namespace dnlr::mm {
 /// The macro-kernel streams an MC x KC packed block of A (L2-resident)
 /// against a KC x NC packed panel of B (L3-resident); the micro-kernel
 /// computes an MR x NR tile of C held entirely in vector registers.
+/// The default micro-tile is the widest micro-kernel compiled in (see
+/// GemmKernelName): 12 x 32 with AVX-512, 6 x 16 otherwise.
 struct GemmParams {
   uint32_t mc = 72;    // rows of the packed A block (multiple of mr)
   uint32_t kc = 256;   // shared dimension slice
-  uint32_t nc = 4080;  // columns of the packed B panel (multiple of nr)
+  uint32_t nc = 4064;  // columns of the packed B panel (multiple of nr)
+#if defined(__AVX512F__)
+  uint32_t mr = 12;    // micro-tile rows (register blocking)
+  uint32_t nr = 32;    // micro-tile cols (two zmm vectors of 16 floats)
+#else
   uint32_t mr = 6;     // micro-tile rows (register blocking)
   uint32_t nr = 16;    // micro-tile cols (two AVX2 vectors of 8 floats)
+#endif
 
   /// Parallel crossover: multiplications with fewer than this many flops
   /// (2*m*n*k) stay on the serial path even when a pool is supplied —
@@ -36,7 +43,8 @@ struct GemmParams {
   /// oneDNN-style tailoring for small shapes (the rnd_up logic quoted in
   /// Section 4.2): clamps each blocking parameter to the actual problem
   /// size, rounded up to the micro-kernel granularity, so tiny matrices do
-  /// not pay full-size packing overhead.
+  /// not pay full-size packing overhead. With AVX-512, the 12 x 32 tile
+  /// narrows to 12 x 16 when n <= 16, so narrow batches do not pad B to 32.
   GemmParams TailoredTo(uint32_t m, uint32_t n, uint32_t k) const;
 };
 
@@ -128,8 +136,9 @@ void Gemm(const PackedMatrix& a, const Matrix& b, Matrix* c,
 /// Reference triple-loop GEMM (ablation baseline and test oracle).
 void GemmReference(const Matrix& a, const Matrix& b, Matrix* c);
 
-/// Whether the AVX2+FMA micro-kernel is compiled in.
-bool GemmHasSimd();
+/// The micro-kernel the default GemmParams run: "avx512-12x32",
+/// "avx2-6x16" or "scalar", fixed at compile time by the target ISA.
+const char* GemmKernelName();
 
 /// Measured GFLOPS of C = A*B at the given shape: runs the multiplication
 /// `repeats` times and reports 2*m*n*k / median_time. Used for the

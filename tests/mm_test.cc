@@ -2,6 +2,8 @@
 
 #include <cmath>
 #include <cstring>
+#include <limits>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -212,7 +214,8 @@ TEST(PackedGemmTest, HoldsPaddedRowsTimesK) {
   const PackedMatrix packed(a);
   EXPECT_EQ(packed.rows(), 100u);
   EXPECT_EQ(packed.cols(), 300u);
-  EXPECT_EQ(packed.size(), static_cast<size_t>(RoundUp(100, 6)) * 300);
+  EXPECT_EQ(packed.size(),
+            static_cast<size_t>(RoundUp(100, GemmParams().mr)) * 300);
 }
 
 // The tentpole contract: a pre-packed A plus the fused epilogue gives the
@@ -318,6 +321,84 @@ TEST(PackedGemmTest, CustomParamsAndParallelPathMatch) {
   Matrix parallel(33, 29);
   Gemm(packed, b, &parallel, epilogue, &pool);
   EXPECT_TRUE(BitwiseEqual(parallel, expected));
+}
+
+// Plants -0 (one spot and, past two rows, all of row 1) and NaN and +-Inf
+// at fixed spots of a random operand, so the kernels' stores see signed
+// zeros and non-finite sums. The NaN is x86's default NaN (0xffc00000),
+// the one Inf * 0 and Inf - Inf produce: for NaN + NaN the hardware
+// returns the first operand and the compiler may commute a +, so a second
+// payload would make the bits depend on register allocation, not on the
+// kernel. Debug builds sweep every GEMM result with DNLR_DCHECK_FINITE, so
+// the non-finite values are planted in release builds only.
+void PlantSpecials(Matrix* x) {
+  const uint32_t rows = x->rows();
+  const uint32_t cols = x->cols();
+  x->At(rows / 2, cols / 2) = -0.0f;
+  if (rows > 2) {
+    for (uint32_t j = 0; j < cols; ++j) x->At(1, j) = -0.0f;
+  }
+#ifdef NDEBUG
+  const float inf = std::numeric_limits<float>::infinity();
+  x->At(rows - 1, 0) = inf;
+  x->At(0, cols - 1) = -std::numeric_limits<float>::quiet_NaN();
+  x->At(rows - 1, cols - 1) = -inf;
+#endif
+}
+
+// The AVX-512 12x32 (and, for n <= 16, 12x16) default against the AVX2 6x16
+// kernel, bit for bit: every C element is the same FMA chain over k from +0
+// per KC panel whatever the tile, so only the blocking differs. The shapes
+// straddle both tiles' edges (m around 6, 12 and mc = 72; n around 16 and
+// 32) and the KC boundary; pre-packed and per-call A, serial and pooled.
+TEST(PackedGemmTest, Avx512KernelBitwiseMatchesAvx2Kernel) {
+  if (std::string(GemmKernelName()) != "avx512-12x32") {
+    GTEST_SKIP() << "AVX-512 micro-kernel not compiled in";
+  }
+  GemmParams wide;
+  wide.min_parallel_flops = 0;  // let the pool split every multi-block shape
+  GemmParams avx2 = wide;
+  avx2.mr = 6;
+  avx2.nr = 16;
+  common::ThreadPool pool(3);
+  for (const uint32_t m : {1u, 5u, 6u, 7u, 11u, 12u, 13u, 72u, 73u, 100u}) {
+    for (const uint32_t k : {1u, 50u, 256u, 257u, 300u}) {
+      Rng rng(static_cast<uint64_t>(m) * 7919 + k);
+      Matrix a(m, k);
+      a.FillNormal(rng);
+      PlantSpecials(&a);
+      const PackedMatrix packed_wide(a, wide);
+      const PackedMatrix packed_avx2(a, avx2);
+      const std::vector<float> bias = RandomBias(m, rng);
+      for (const uint32_t n :
+           {1u, 10u, 15u, 16u, 17u, 31u, 32u, 33u, 64u, 65u}) {
+        Matrix b(k, n);
+        b.FillNormal(rng);
+        PlantSpecials(&b);
+        for (common::ThreadPool* threads : {static_cast<common::ThreadPool*>(
+                                                nullptr),
+                                            &pool}) {
+          const Epilogue epilogue{bias.data(), /*relu6=*/true};
+          Matrix got(m, n);
+          Matrix want(m, n);
+          got.Fill(-123.0f);
+          want.Fill(456.0f);
+          Gemm(packed_wide, b, &got, epilogue, threads);
+          Gemm(packed_avx2, b, &want, epilogue, threads);
+          EXPECT_TRUE(BitwiseEqual(got, want))
+              << m << "x" << k << "x" << n << " packed, pool "
+              << (threads != nullptr);
+          got.Fill(std::numeric_limits<float>::quiet_NaN());
+          want.Fill(-0.0f);
+          GemmWithParams(a, b, &got, wide, threads);
+          GemmWithParams(a, b, &want, avx2, threads);
+          EXPECT_TRUE(BitwiseEqual(got, want))
+              << m << "x" << k << "x" << n << " per call, pool "
+              << (threads != nullptr);
+        }
+      }
+    }
+  }
 }
 
 // Property sweep for the sparse kernel across shapes, sparsities and batch

@@ -45,6 +45,7 @@
 #include "gbdt/booster.h"
 #include "gbdt/tuner.h"
 #include "metrics/metrics.h"
+#include "mm/gemm.h"
 #include "nn/scorer.h"
 #include "obs/metrics.h"
 #include "predict/dense_predictor.h"
@@ -595,7 +596,8 @@ int CmdBenchScaling(const Args& args) {
   }
   std::ostringstream json;
   json << "{\n  \"benchmark\": \"bench-scaling\",\n  \"hardware_threads\": "
-       << common::ThreadPool::HardwareThreads() << ",\n  \"configs\": "
+       << common::ThreadPool::HardwareThreads() << ",\n  \"gemm_kernel\": "
+       << Quote(mm::GemmKernelName()) << ",\n  \"configs\": "
        << JsonArray(configs);
   if (obs_spans) {
     obs::MetricsRegistry::Global().SetEnabled(false);
@@ -742,8 +744,8 @@ int CmdStats(const Args& args) {
   for (size_t i = 0; i < gemm_split.size(); ++i) {
     gemm_split[i] = gemm_after[i] - gemm_split[i];
   }
-  std::fprintf(stderr, "scoring gemm split: {%s}\n",
-               GemmSplitJson(gemm_split).c_str());
+  std::fprintf(stderr, "gemm kernel: %s\nscoring gemm split: {%s}\n",
+               mm::GemmKernelName(), GemmSplitJson(gemm_split).c_str());
 
   const std::string json = registry.ToJson();
   if (out != "-") return WriteJson(out, json) && failures == 0 ? 0 : 1;
