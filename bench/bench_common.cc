@@ -10,6 +10,7 @@
 #include "common/timer.h"
 #include "data/synthetic.h"
 #include "mm/gemm.h"
+#include "mm/sdmm.h"
 #include "prune/schedule.h"
 
 namespace dnlr::benchx {
@@ -187,7 +188,9 @@ const predict::DenseTimePredictor& DensePredictor() {
 
 const predict::SparseTimePredictor& SparsePredictor() {
   static const predict::SparseTimePredictor predictor = [] {
-    const std::string path = CachePath("sparse_predictor", ".txt");
+    // Keyed on the Sdmm inner loop, as the dense cache is on the GEMM's.
+    const std::string path = CachePath(
+        std::string("sparse_predictor_") + mm::SdmmKernelName(), ".txt");
     if (fs::exists(path)) {
       std::ifstream file(path);
       std::ostringstream buffer;

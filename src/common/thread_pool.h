@@ -15,9 +15,9 @@
 namespace dnlr::common {
 
 /// Fixed-size worker pool for intra-request parallelism: one pool is shared
-/// by every compute kernel of a serving process (parallel GEMM macro-blocks,
-/// document chunks of the neural scorers, tree-ensemble chunks), so thread
-/// creation happens once at startup, not per request.
+/// by every rung of a serving process through forest::ParallelScorer (the
+/// document chunks of the neural and tree scorers), so thread creation
+/// happens once at startup, not per request.
 ///
 /// Concurrency model:
 ///  - `num_threads` is the total parallelism of one ParallelFor call,
@@ -31,12 +31,12 @@ namespace dnlr::common {
 ///    keeps the queue deadlock-free by construction.
 ///  - The chunk index passed to the body is unique within one ParallelFor
 ///    call and always < num_threads(), so callers can hand each chunk its
-///    own scratch buffer (the per-thread PackA/tile buffers of the parallel
-///    GEMM) without any locking.
+///    own scratch buffer without any locking.
 ///
-/// Coordination cost is what this pool is tuned for: GEMM issues one
-/// ParallelFor per (jc, pc) macro-iteration, so a sleep/wake round-trip per
-/// call would swamp the compute of each macro-block (the T=2 regression the
+/// Coordination cost is what this pool is tuned for: every engine worker
+/// issues one ParallelFor per request, and a chunk is often only one or two
+/// 64-document batches (tens of microseconds), so a sleep/wake round-trip
+/// per call would swamp the work it splits (the T=2 regression the
 /// bench-scaling gate guards against). Three mechanisms keep the per-call
 /// cost in the sub-microsecond range when the pool is warm:
 ///  - Workers spin-then-block: after running a chunk a worker polls an

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "common/aligned.h"
-#include "common/thread_pool.h"
 #include "common/timer.h"
 #include "obs/trace.h"
 
@@ -233,18 +232,17 @@ void MicroKernelAvx512(uint32_t kb, const float* a_panel, const float* b_panel,
 }
 #endif  // DNLR_GEMM_AVX512
 
-/// Per-OS-thread packing scratch, reused across (jc, pc) iterations,
-/// ParallelFor calls, and whole GEMM calls: the pool's chunk bodies run on
-/// a fixed set of worker threads (plus the caller), so thread-local storage
-/// gives every executing thread one persistent PackA block, micro-tile and
-/// packed-B panel without any per-call allocation or locking. Contents are
-/// never read before being written (PackA/PackB fully write every region
-/// the kernels later read, and the AVX2 and scalar kernels fully store the
-/// tile they hand to StoreTile), so reuse cannot change results.
+/// Per-OS-thread packing scratch, reused across (jc, pc) iterations and
+/// whole GEMM calls, so concurrent callers (serving workers, the chunks of a
+/// parallel scorer) never share a buffer and steady-state calls never
+/// allocate. Contents are never read before being written (PackA/PackB
+/// fully write every region the kernels later read, and the AVX2 and scalar
+/// kernels fully store the tile they hand to StoreTile), so reuse cannot
+/// change results.
 struct GemmScratch {
   AlignedBuffer packed_a;
   AlignedBuffer tile;
-  AlignedBuffer packed_b;  // used by the caller thread only (shared panel)
+  AlignedBuffer packed_b;
 };
 
 GemmScratch& LocalGemmScratch() {
@@ -276,8 +274,9 @@ GemmParams GemmParams::TailoredTo(uint32_t m, uint32_t n, uint32_t k) const {
 PackedMatrix::PackedMatrix(const Matrix& a, const GemmParams& params)
     : rows_(a.rows()), cols_(a.cols()), params_(params) {
   const GemmParams tailored = params_.TailoredTo(rows_, 1, cols_);
-  const uint32_t padded_rows = RoundUp(rows_, tailored.mr);
-  panels_.Resize(static_cast<size_t>(padded_rows) * cols_);
+  padded_rows_ = RoundUp(rows_, tailored.mr);
+  kc_ = tailored.kc;
+  panels_.Resize(static_cast<size_t>(padded_rows_) * cols_);
   // KC slices in order, and within each the MC blocks in order: the block
   // at (ic, pc) starts after pc full slices of padded_rows x kc floats and
   // ic rows of its own slice, which is what Block() computes.
@@ -290,14 +289,6 @@ PackedMatrix::PackedMatrix(const Matrix& a, const GemmParams& params)
       out += static_cast<size_t>(RoundUp(mb, tailored.mr)) * kb;
     }
   }
-}
-
-const float* PackedMatrix::Block(uint32_t ic, uint32_t pc) const {
-  const GemmParams tailored = params_.TailoredTo(rows_, 1, cols_);
-  const uint32_t kb = std::min(tailored.kc, cols_ - pc);
-  return panels_.data() +
-         static_cast<size_t>(pc) * RoundUp(rows_, tailored.mr) +
-         static_cast<size_t>(ic) * kb;
 }
 
 namespace {
@@ -346,9 +337,8 @@ MicroKernel ChooseMicroKernel([[maybe_unused]] uint32_t mr,
 
 /// Runs the macro-kernel for one MC-row block of A: streams the packed A
 /// block's micro-panels against the already-packed B panel and stores each
-/// tile into C. This is the unit of work the parallel path distributes;
-/// `tile` is scratch owned by one chunk (unused by the AVX-512 kernels,
-/// which store from registers).
+/// tile into C. `tile` is the calling thread's scratch (unused by the
+/// AVX-512 kernels, which store from registers).
 void RunMacroBlock(const float* packed_a, Matrix* c, const GemmParams& params,
                    MicroKernel kernel, uint32_t ic, uint32_t mb, uint32_t jc,
                    uint32_t nb, uint32_t kb, const float* packed_b,
@@ -396,7 +386,7 @@ void RunMacroBlock(const float* packed_a, Matrix* c, const GemmParams& params,
 /// `packed` (read in place) is non-null.
 void GemmImpl(const Matrix* a, const PackedMatrix* packed, const Matrix& b,
               Matrix* c, const GemmParams& raw_params,
-              const Epilogue& epilogue, common::ThreadPool* pool) {
+              const Epilogue& epilogue) {
   const uint32_t m = packed != nullptr ? packed->rows() : a->rows();
   const uint32_t k = packed != nullptr ? packed->cols() : a->cols();
   const uint32_t n = b.cols();
@@ -420,28 +410,14 @@ void GemmImpl(const Matrix* a, const PackedMatrix* packed, const Matrix& b,
   }
 
   const MicroKernel kernel = ChooseMicroKernel(mr, nr);
-
-  const uint32_t num_ic_blocks = (m + params.mc - 1) / params.mc;
-  // Work-size crossover: below min_parallel_flops the coordination cost of
-  // even a spin-joined ParallelFor exceeds what a second core wins back, so
-  // small multiplications take the serial fast path unconditionally.
-  const uint64_t flops = 2ull * m * n * k;
-  const bool parallel = pool != nullptr && pool->num_threads() > 1 &&
-                        num_ic_blocks > 1 &&
-                        (params.min_parallel_flops == 0 ||
-                         flops >= params.min_parallel_flops);
-
-  // Every executing thread owns a thread-local micro-tile and, when A is
-  // not pre-packed, a PackA block (reused across jc/pc iterations,
-  // ParallelFor calls, and GEMM calls — no per-call allocation). The
-  // packed-B panel lives in the caller's scratch and, like a pre-packed A,
-  // is shared read-only: PackB touches it only between ParallelFor
-  // barriers.
-  const size_t packed_a_floats =
-      static_cast<size_t>(RoundUp(params.mc, mr)) * params.kc;
-  const size_t tile_floats = static_cast<size_t>(mr) * nr;
-  AlignedBuffer& packed_b = LocalGemmScratch().packed_b;
-  packed_b.GrowTo(static_cast<size_t>(params.kc) * RoundUp(params.nc, nr));
+  GemmScratch& scratch = LocalGemmScratch();
+  if (packed == nullptr) {
+    scratch.packed_a.GrowTo(static_cast<size_t>(RoundUp(params.mc, mr)) *
+                            params.kc);
+  }
+  scratch.tile.GrowTo(static_cast<size_t>(mr) * nr);
+  scratch.packed_b.GrowTo(static_cast<size_t>(params.kc) *
+                          RoundUp(params.nc, nr));
 
   for (uint32_t jc = 0; jc < n; jc += params.nc) {
     const uint32_t nb = std::min(params.nc, n - jc);
@@ -451,37 +427,21 @@ void GemmImpl(const Matrix* a, const PackedMatrix* packed, const Matrix& b,
       const bool last_panel = pc + kb == k;
       {
         DNLR_OBS_SPAN(pack_span, "mm.gemm.pack_b_us");
-        PackB(b, pc, kb, jc, nb, nr, packed_b.data());
+        PackB(b, pc, kb, jc, nb, nr, scratch.packed_b.data());
       }
-      const auto run_blocks = [&](uint32_t /*chunk*/, uint64_t block_begin,
-                                  uint64_t block_end) {
-        GemmScratch& scratch = LocalGemmScratch();
-        if (packed == nullptr) scratch.packed_a.GrowTo(packed_a_floats);
-        scratch.tile.GrowTo(tile_floats);
-        for (uint64_t block = block_begin; block < block_end; ++block) {
-          const uint32_t ic = static_cast<uint32_t>(block) * params.mc;
-          const uint32_t mb = std::min(params.mc, m - ic);
-          const float* packed_a = nullptr;
-          if (packed != nullptr) {
-            packed_a = packed->Block(ic, pc);
-          } else {
-            DNLR_OBS_SPAN(pack_span, "mm.gemm.pack_a_us");
-            PackA(*a, ic, mb, pc, kb, mr, scratch.packed_a.data());
-            packed_a = scratch.packed_a.data();
-          }
-          RunMacroBlock(packed_a, c, params, kernel, ic, mb, jc, nb, kb,
-                        packed_b.data(), first_panel, last_panel, epilogue,
-                        scratch.tile.data());
+      for (uint32_t ic = 0; ic < m; ic += params.mc) {
+        const uint32_t mb = std::min(params.mc, m - ic);
+        const float* packed_a = nullptr;
+        if (packed != nullptr) {
+          packed_a = packed->Block(ic, pc);
+        } else {
+          DNLR_OBS_SPAN(pack_span, "mm.gemm.pack_a_us");
+          PackA(*a, ic, mb, pc, kb, mr, scratch.packed_a.data());
+          packed_a = scratch.packed_a.data();
         }
-      };
-      if (parallel) {
-        // Chunks own disjoint MC-row stripes of C, so there is no write
-        // sharing; the barrier at the end of ParallelFor orders this (jc,
-        // pc) iteration's accumulation before the next PackB reuses the
-        // shared panel.
-        pool->ParallelFor(num_ic_blocks, run_blocks);
-      } else {
-        run_blocks(0, 0, num_ic_blocks);
+        RunMacroBlock(packed_a, c, params, kernel, ic, mb, jc, nb, kb,
+                      scratch.packed_b.data(), first_panel, last_panel,
+                      epilogue, scratch.tile.data());
       }
     }
   }
@@ -493,27 +453,17 @@ void GemmImpl(const Matrix* a, const PackedMatrix* packed, const Matrix& b,
 }  // namespace
 
 void GemmWithParams(const Matrix& a, const Matrix& b, Matrix* c,
-                    const GemmParams& raw_params, common::ThreadPool* pool) {
-  GemmImpl(&a, nullptr, b, c, raw_params, Epilogue(), pool);
+                    const GemmParams& params) {
+  GemmImpl(&a, nullptr, b, c, params, Epilogue());
 }
 
 void Gemm(const PackedMatrix& a, const Matrix& b, Matrix* c,
-          const Epilogue& epilogue, common::ThreadPool* pool) {
-  GemmImpl(nullptr, &a, b, c, a.params(), epilogue, pool);
-}
-
-void GemmWithParams(const Matrix& a, const Matrix& b, Matrix* c,
-                    const GemmParams& raw_params) {
-  GemmWithParams(a, b, c, raw_params, nullptr);
+          const Epilogue& epilogue) {
+  GemmImpl(nullptr, &a, b, c, a.params(), epilogue);
 }
 
 void Gemm(const Matrix& a, const Matrix& b, Matrix* c) {
-  GemmWithParams(a, b, c, GemmParams(), nullptr);
-}
-
-void Gemm(const Matrix& a, const Matrix& b, Matrix* c,
-          common::ThreadPool* pool) {
-  GemmWithParams(a, b, c, GemmParams(), pool);
+  GemmWithParams(a, b, c, GemmParams());
 }
 
 void GemmReference(const Matrix& a, const Matrix& b, Matrix* c) {
@@ -569,9 +519,9 @@ double Gflops(uint32_t m, uint32_t k, uint32_t n, double micros) {
 }  // namespace
 
 double MeasureGemmGflops(uint32_t m, uint32_t k, uint32_t n, int repeats,
-                         uint64_t seed, common::ThreadPool* pool) {
-  return MeasureGemmGflopsWithParams(GemmParams(), m, k, n, repeats, seed,
-                                     pool);
+                         uint64_t seed) {
+  RandomGemmOperands x(m, k, n, seed);
+  return Gflops(m, k, n, TimeMicros([&] { Gemm(x.a, x.b, &x.c); }, repeats));
 }
 
 double MeasurePackedGemmGflops(uint32_t m, uint32_t k, uint32_t n,
@@ -580,15 +530,6 @@ double MeasurePackedGemmGflops(uint32_t m, uint32_t k, uint32_t n,
   const PackedMatrix packed(x.a);
   return Gflops(m, k, n,
                 TimeMicros([&] { Gemm(packed, x.b, &x.c); }, repeats));
-}
-
-double MeasureGemmGflopsWithParams(const GemmParams& params, uint32_t m,
-                                   uint32_t k, uint32_t n, int repeats,
-                                   uint64_t seed, common::ThreadPool* pool) {
-  RandomGemmOperands x(m, k, n, seed);
-  return Gflops(m, k, n, TimeMicros([&] {
-                  GemmWithParams(x.a, x.b, &x.c, params, pool);
-                }, repeats));
 }
 
 }  // namespace dnlr::mm

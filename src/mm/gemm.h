@@ -1,15 +1,12 @@
 #ifndef DNLR_MM_GEMM_H_
 #define DNLR_MM_GEMM_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 
 #include "common/aligned.h"
 #include "mm/matrix.h"
-
-namespace dnlr::common {
-class ThreadPool;
-}  // namespace dnlr::common
 
 namespace dnlr::mm {
 
@@ -30,15 +27,6 @@ struct GemmParams {
   uint32_t mr = 6;     // micro-tile rows (register blocking)
   uint32_t nr = 16;    // micro-tile cols (two AVX2 vectors of 8 floats)
 #endif
-
-  /// Parallel crossover: multiplications with fewer than this many flops
-  /// (2*m*n*k) stay on the serial path even when a pool is supplied —
-  /// below it, ParallelFor coordination costs more than the split saves.
-  /// The default is a conservative generic figure (~50 us of serial work
-  /// on one AVX2 core); measure the machine's real crossover with
-  /// predict::MeasureGemmParallelScaling and override. 0 disables the
-  /// gate (always parallelize when a pool is given).
-  uint64_t min_parallel_flops = 2'000'000;
 
   /// oneDNN-style tailoring for small shapes (the rnd_up logic quoted in
   /// Section 4.2): clamps each blocking parameter to the actual problem
@@ -75,8 +63,9 @@ struct Epilogue {
 /// the rows as PackA lays it out, at the mc / kc that GemmParams::TailoredTo
 /// picks for A's shape (they do not depend on n). A network layer's weights
 /// are constant for a model generation, so the scorers pack them at
-/// construction and no batch re-runs PackA. Rows are zero padded to a
-/// multiple of mr, so this holds RoundUp(m, mr) * k floats.
+/// construction and no batch re-runs PackA or re-tailors the blocking.
+/// Rows are zero padded to a multiple of mr, so this holds
+/// RoundUp(m, mr) * k floats.
 class PackedMatrix {
  public:
   PackedMatrix() = default;
@@ -91,13 +80,21 @@ class PackedMatrix {
   size_t size() const { return panels_.size(); }
 
   /// The packed MC x KC block whose top-left entry is A(ic, pc); ic and pc
-  /// are multiples of the tailored mc and kc.
-  const float* Block(uint32_t ic, uint32_t pc) const;
+  /// are multiples of the tailored mc and kc. The block starts after pc
+  /// full KC slices of padded_rows x kc floats and ic rows of its own
+  /// slice, whose width is kb.
+  const float* Block(uint32_t ic, uint32_t pc) const {
+    const uint32_t kb = std::min(kc_, cols_ - pc);
+    return panels_.data() + static_cast<size_t>(pc) * padded_rows_ +
+           static_cast<size_t>(ic) * kb;
+  }
 
  private:
   uint32_t rows_ = 0;
   uint32_t cols_ = 0;
   GemmParams params_;
+  uint32_t padded_rows_ = 0;  // RoundUp(rows_, tailored mr)
+  uint32_t kc_ = 1;           // tailored kc
   AlignedBuffer panels_;
 };
 
@@ -110,28 +107,13 @@ void Gemm(const Matrix& a, const Matrix& b, Matrix* c);
 void GemmWithParams(const Matrix& a, const Matrix& b, Matrix* c,
                     const GemmParams& params);
 
-/// C = A * B parallelized over the ic macro-blocks of the Goto loop nest:
-/// each pool chunk packs and streams its own range of MC-row blocks of A
-/// (per-chunk PackA and tile scratch) against the shared packed-B panel,
-/// with a barrier per (jc, pc) iteration so the panel can be reused. Every
-/// C element is accumulated by exactly one chunk in the serial kernel's
-/// order, so the result is bitwise identical to the serial path. A null
-/// pool (or a pool of 1) runs the serial kernel.
-void GemmWithParams(const Matrix& a, const Matrix& b, Matrix* c,
-                    const GemmParams& params, common::ThreadPool* pool);
-
-/// Parallel variant of Gemm with default blocking parameters.
-void Gemm(const Matrix& a, const Matrix& b, Matrix* c,
-          common::ThreadPool* pool);
-
 /// C = epilogue(A * B) with A pre-packed: the same loop nest, blocking and
 /// order of floating-point operations as GemmWithParams(A, B, C,
-/// a.params(), pool), reading A's panels from `a` instead of packing them per
+/// a.params()), reading A's panels from `a` instead of packing them per
 /// call, so C is bitwise identical to that product followed by a separate
 /// epilogue pass. C is overwritten.
 void Gemm(const PackedMatrix& a, const Matrix& b, Matrix* c,
-          const Epilogue& epilogue = Epilogue(),
-          common::ThreadPool* pool = nullptr);
+          const Epilogue& epilogue = Epilogue());
 
 /// Reference triple-loop GEMM (ablation baseline and test oracle).
 void GemmReference(const Matrix& a, const Matrix& b, Matrix* c);
@@ -142,25 +124,15 @@ const char* GemmKernelName();
 
 /// Measured GFLOPS of C = A*B at the given shape: runs the multiplication
 /// `repeats` times and reports 2*m*n*k / median_time. Used for the
-/// Figures 4-6 sweeps; A is packed per call, as in the paper's sgemm. A
-/// non-null `pool`
-/// measures the parallel kernel (the bench-scaling probe).
+/// Figures 4-6 sweeps; A is packed per call, as in the paper's sgemm.
 double MeasureGemmGflops(uint32_t m, uint32_t k, uint32_t n, int repeats = 3,
-                         uint64_t seed = 99, common::ThreadPool* pool = nullptr);
+                         uint64_t seed = 99);
 
 /// MeasureGemmGflops for the pre-packed operand: A is packed once before
 /// the timed repeats, as the scorers pack their weights once per model
 /// generation. The dense time predictor calibrates on this.
 double MeasurePackedGemmGflops(uint32_t m, uint32_t k, uint32_t n,
                                int repeats = 3, uint64_t seed = 99);
-
-/// MeasureGemmGflops with explicit blocking parameters. The parallel-
-/// crossover calibration uses this with min_parallel_flops = 0 to force the
-/// parallel kernel on shapes the default gate would keep serial.
-double MeasureGemmGflopsWithParams(const GemmParams& params, uint32_t m,
-                                   uint32_t k, uint32_t n, int repeats = 3,
-                                   uint64_t seed = 99,
-                                   common::ThreadPool* pool = nullptr);
 
 }  // namespace dnlr::mm
 

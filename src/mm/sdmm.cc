@@ -138,11 +138,11 @@ void SdmmReference(const CsrMatrix& a, const Matrix& b, Matrix* c) {
   }
 }
 
-bool SdmmHasSimd() {
+const char* SdmmKernelName() {
 #ifdef DNLR_SDMM_SIMD
-  return true;
+  return "avx2";
 #else
-  return false;
+  return "scalar";
 #endif
 }
 

@@ -24,8 +24,9 @@ void Sdmm(const CsrMatrix& a, const Matrix& b, Matrix* c,
 /// comparison.
 void SdmmReference(const CsrMatrix& a, const Matrix& b, Matrix* c);
 
-/// Whether the AVX2+FMA SDMM inner loop is compiled in.
-bool SdmmHasSimd();
+/// The inner loop Sdmm runs: "avx2" (8-float FMA register blocks) or
+/// "scalar", fixed at compile time by the target ISA.
+const char* SdmmKernelName();
 
 /// Measured wall time in microseconds of one C = A*B with the optimized
 /// kernel, for the sparse predictor's calibration and validation.

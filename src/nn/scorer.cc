@@ -85,16 +85,17 @@ void NeuralScorer::ForwardColumns(ForwardScratch* scratch, float* out) const {
   std::copy(scores, scores + batch, out);
 }
 
-void NeuralScorer::ScoreBatchRange(const float* docs, uint32_t count,
-                                   uint32_t stride, uint64_t batch_begin,
-                                   uint64_t batch_end, float* out) const {
+void NeuralScorer::Score(const float* docs, uint32_t count, uint32_t stride,
+                         float* out) const {
+  if (count == 0) return;
+  DNLR_OBS_COUNT("nn.docs", count);
   ForwardScratch& scratch = LocalForwardScratch();
   const float* mean =
       normalizer_ != nullptr ? normalizer_->mean().data() : nullptr;
   const float* stddev =
       normalizer_ != nullptr ? normalizer_->stddev().data() : nullptr;
-  for (uint64_t bi = batch_begin; bi < batch_end; ++bi) {
-    const uint32_t start = static_cast<uint32_t>(bi) * config_.batch_size;
+  for (uint64_t first = 0; first < count; first += config_.batch_size) {
+    const auto start = static_cast<uint32_t>(first);
     const uint32_t batch = std::min(config_.batch_size, count - start);
     // Documents become the columns of B (features x batch), normalized on
     // the way in with ZNormalizer::Apply's expression.
@@ -115,29 +116,6 @@ void NeuralScorer::ScoreBatchRange(const float* docs, uint32_t count,
     }
     ForwardColumns(&scratch, out + start);
   }
-}
-
-void NeuralScorer::Score(const float* docs, uint32_t count, uint32_t stride,
-                         float* out) const {
-  if (count == 0) return;
-  DNLR_OBS_COUNT("nn.docs", count);
-  const uint64_t num_batches =
-      (static_cast<uint64_t>(count) + config_.batch_size - 1) /
-      config_.batch_size;
-  common::ThreadPool* pool = config_.pool;
-  // The crossover gate: sub-threshold candidate sets never pay the fan-out.
-  if (pool != nullptr && pool->num_threads() > 1 && num_batches > 1 &&
-      count >= config_.min_parallel_docs) {
-    // Whole batches are the distribution unit, so every document sees the
-    // same batch boundaries — and therefore bitwise-identical scores — as
-    // the serial path.
-    pool->ParallelFor(num_batches,
-                      [&](uint32_t /*chunk*/, uint64_t begin, uint64_t end) {
-                        ScoreBatchRange(docs, count, stride, begin, end, out);
-                      });
-    return;
-  }
-  ScoreBatchRange(docs, count, stride, 0, num_batches, out);
 }
 
 HybridNeuralScorer::HybridNeuralScorer(const Mlp& mlp,

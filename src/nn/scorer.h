@@ -3,7 +3,6 @@
 
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "data/normalize.h"
 #include "forest/scorer.h"
 #include "mm/csr.h"
@@ -18,22 +17,10 @@ namespace dnlr::nn {
 
 /// Batching configuration of the neural scoring engines. The paper scores
 /// in batches (n is the GEMM's N dimension); 64 is its sparse sweet spot.
+/// A Score call runs single-threaded; forest::ParallelScorer splits calls
+/// across a pool at multiples of batch_size, which keeps scores bitwise.
 struct NeuralScorerConfig {
   uint32_t batch_size = 64;
-  /// Intra-request parallelism: when set, Score distributes whole
-  /// batch_size-sized batches across the pool (each chunk runs the serial
-  /// forward pass on its batches, so scores are bitwise identical to the
-  /// serial engine). Null means single-threaded. Not owned; must outlive
-  /// the scorer.
-  common::ThreadPool* pool = nullptr;
-  /// Parallel crossover: Score calls with fewer documents stay on the
-  /// serial path even when a pool is set — below it, ParallelFor
-  /// coordination costs more than the split saves. Callers with a measured
-  /// predict::ParallelScaling should set this to
-  /// scaling.CrossoverDocs(serial_us_per_doc); the default of two full
-  /// batches is the structural floor (fewer than two batches cannot split
-  /// at batch granularity anyway). UINT32_MAX pins the scorer serial.
-  uint32_t min_parallel_docs = 128;
 };
 
 /// Per-thread scratch of the forward pass (defined in scorer.cc).
@@ -73,13 +60,6 @@ class NeuralScorer : public forest::DocumentScorer {
   /// the scratch's first buffer; the layers ping-pong between its two
   /// buffers.
   void ForwardColumns(ForwardScratch* scratch, float* out) const;
-
-  /// Scores the contiguous batch range [batch_begin, batch_end) of a Score
-  /// call (batch i covers documents [i * batch_size, ...)) with the calling
-  /// thread's scratch.
-  void ScoreBatchRange(const float* docs, uint32_t count, uint32_t stride,
-                       uint64_t batch_begin, uint64_t batch_end,
-                       float* out) const;
 
   bool sparse_first_layer_;
   mm::CsrMatrix first_layer_;                  // layer 0 when it runs sparse

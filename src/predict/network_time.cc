@@ -2,9 +2,12 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <vector>
 
 #include "common/check.h"
+#include "common/rng.h"
 #include "common/thread_pool.h"
+#include "common/timer.h"
 #include "mm/gemm.h"
 
 namespace dnlr::predict {
@@ -41,9 +44,8 @@ double PredictSparsitySpeedup(uint32_t m, uint32_t k, double sparsity,
 }
 
 uint32_t ParallelScaling::CrossoverDocs(double serial_us_per_doc) const {
-  if (crossover_flops == 0) return 0;  // nothing measured: no gating
-  if (crossover_flops == UINT64_MAX || Speedup() <= 1.0 ||
-      serial_us_per_doc <= 0.0) {
+  if (num_threads <= 1) return 0;  // a serial pool never fans out
+  if (Speedup() <= 1.02 || serial_us_per_doc <= 0.0) {
     return UINT32_MAX;  // parallelism never wins here
   }
   // Smallest doc count whose parallel saving exceeds the fan-out cost:
@@ -54,76 +56,79 @@ uint32_t ParallelScaling::CrossoverDocs(double serial_us_per_doc) const {
   return static_cast<uint32_t>(std::max(0.0, docs)) + 1;
 }
 
-ParallelScaling MeasureGemmParallelScaling(common::ThreadPool* pool,
-                                           uint32_t m, uint32_t k, uint32_t n,
-                                           int repeats) {
+namespace {
+
+/// `count` independent batches C_i = A * B over one pre-packed A and one
+/// shared read-only B, each into its own C: the work a ParallelScorer
+/// hands its chunks, without a scorer (predict depends only on mm).
+class BatchProbe {
+ public:
+  BatchProbe(uint32_t m, uint32_t k, uint32_t n, uint32_t count)
+      : b_(k, n), outputs_(count, mm::Matrix(m, n)) {
+    Rng rng(99);
+    mm::Matrix a(m, k);
+    a.FillUniform(rng);
+    b_.FillUniform(rng);
+    a_ = mm::PackedMatrix(a);
+  }
+
+  /// Median wall time of the batches run on the calling thread.
+  double SerialMicros(int repeats) {
+    return TimeMicros([&] { Run(0, outputs_.size()); }, repeats);
+  }
+
+  /// Median wall time of one ParallelFor over the batches.
+  double ParallelMicros(common::ThreadPool* pool, int repeats) {
+    return TimeMicros(
+        [&] {
+          pool->ParallelFor(outputs_.size(),
+                            [&](uint32_t /*chunk*/, uint64_t begin,
+                                uint64_t end) { Run(begin, end); });
+        },
+        repeats);
+  }
+
+ private:
+  void Run(uint64_t begin, uint64_t end) {
+    for (uint64_t i = begin; i < end; ++i) mm::Gemm(a_, b_, &outputs_[i]);
+  }
+
+  mm::PackedMatrix a_;
+  mm::Matrix b_;
+  std::vector<mm::Matrix> outputs_;
+};
+
+}  // namespace
+
+ParallelScaling MeasureParallelScaling(common::ThreadPool* pool, uint32_t m,
+                                       uint32_t k, uint32_t n, int repeats) {
   ParallelScaling scaling;
   if (pool == nullptr || pool->num_threads() <= 1) return scaling;
   scaling.num_threads = pool->num_threads();
 
-  // Efficiency at the representative large-batch shape. The no-crossover
-  // params force the parallel kernel even on shapes the default GemmParams
-  // gate would keep serial: this measurement IS the gate's calibration.
-  mm::GemmParams ungated;
-  ungated.min_parallel_flops = 0;
-  const double serial_gflops =
-      mm::MeasureGemmGflops(m, k, n, repeats, /*seed=*/99, nullptr);
-  const double parallel_gflops = mm::MeasureGemmGflopsWithParams(
-      ungated, m, k, n, repeats, /*seed=*/99, pool);
-  if (serial_gflops <= 0.0 || parallel_gflops <= 0.0) {
+  // Efficiency: enough batches that every thread gets several, so the
+  // probe measures scaling rather than the fan-out it amortizes. Invert
+  // speedup = 1 + e * (T - 1) for e, then clamp to [0, 1]: oversubscribed
+  // or noisy measurements must never make predicted times optimistic.
+  BatchProbe many(m, k, n, 4 * scaling.num_threads);
+  const double serial_us = many.SerialMicros(repeats);
+  const double parallel_us = many.ParallelMicros(pool, repeats);
+  if (serial_us <= 0.0 || parallel_us <= 0.0) {
     scaling.efficiency = 0.0;
-    scaling.crossover_flops = UINT64_MAX;
     return scaling;
   }
-  // Invert speedup = 1 + e * (T - 1) for e, then clamp to [0, 1]:
-  // oversubscribed or noisy measurements must never make predicted times
-  // optimistic.
-  const double speedup = parallel_gflops / serial_gflops;
-  const double efficiency =
-      (speedup - 1.0) / static_cast<double>(scaling.num_threads - 1);
+  const double efficiency = (serial_us / parallel_us - 1.0) /
+                            static_cast<double>(scaling.num_threads - 1);
   scaling.efficiency = std::min(1.0, std::max(0.0, efficiency));
 
-  // Per-ParallelFor coordination cost from a deliberately tiny probe (the
-  // fan-out dominates the compute there), as parallel-minus-serial time.
-  // The probe shrinks mc so the 64-row A still splits into several
-  // macro-blocks — with the default mc=72 the shape would be a single
-  // chunk and never fan out at all.
-  constexpr uint32_t kProbeM = 64, kProbeK = 64, kProbeN = 16;
-  mm::GemmParams probe_params = ungated;
-  probe_params.mc = 24;
-  const double probe_flops = 2.0 * kProbeM * kProbeK * kProbeN;
-  const double probe_serial_gflops = mm::MeasureGemmGflopsWithParams(
-      probe_params, kProbeM, kProbeK, kProbeN, repeats, /*seed=*/99, nullptr);
-  const double probe_parallel_gflops = mm::MeasureGemmGflopsWithParams(
-      probe_params, kProbeM, kProbeK, kProbeN, repeats, /*seed=*/99, pool);
-  if (probe_serial_gflops > 0.0 && probe_parallel_gflops > 0.0) {
-    const double probe_serial_us = probe_flops / (probe_serial_gflops * 1e3);
-    const double probe_parallel_us =
-        probe_flops / (probe_parallel_gflops * 1e3);
-    scaling.overhead_us =
-        std::max(0.0, probe_parallel_us - probe_serial_us);
-  }
+  // Overhead: two tiny batches, whose ideal split takes half the serial
+  // time; what the fan-out adds on top of that is its coordination cost.
+  constexpr uint32_t kTiny = 16;
+  BatchProbe two(kTiny, kTiny, kTiny, 2);
+  const double two_serial_us = two.SerialMicros(repeats);
+  const double two_parallel_us = two.ParallelMicros(pool, repeats);
+  scaling.overhead_us = std::max(0.0, two_parallel_us - two_serial_us / 2.0);
 
-  // Crossover: the work size whose parallel saving first repays the
-  // overhead — serial_us(w) * (1 - 1/speedup) = overhead_us. With no
-  // measured win (speedup ~ 1, e.g. a single hardware thread) parallelism
-  // never pays and everything should stay serial.
-  if (scaling.Speedup() <= 1.02) {
-    scaling.crossover_flops = UINT64_MAX;
-  } else {
-    const double saved_fraction = 1.0 - 1.0 / scaling.Speedup();
-    const double serial_flops_per_us = serial_gflops * 1e3;
-    const double crossover =
-        (scaling.overhead_us / saved_fraction) * serial_flops_per_us;
-    if (crossover >= static_cast<double>(UINT64_MAX)) {
-      scaling.crossover_flops = UINT64_MAX;
-    } else {
-      // Floor of one micro-burst of work: even with ~0 measured overhead a
-      // multiplication under ~64k flops has chunks too small to matter.
-      scaling.crossover_flops =
-          std::max<uint64_t>(1u << 16, static_cast<uint64_t>(crossover));
-    }
-  }
   DNLR_CHECK_LE(scaling.efficiency, 1.0);
   DNLR_CHECK_GE(scaling.efficiency, 0.0);
   return scaling;

@@ -11,6 +11,11 @@
 namespace dnlr::serve {
 namespace {
 
+/// Backoff before retry r is kRetryBackoffMicros << (r-1), capped at
+/// kMaxBackoffMicros, and always bounded by the remaining budget.
+constexpr uint64_t kRetryBackoffMicros = 100;
+constexpr uint64_t kMaxBackoffMicros = 2000;
+
 bool AllFinite(const std::vector<float>& scores) {
   for (const float s : scores) {
     if (!std::isfinite(s)) return false;
@@ -313,9 +318,9 @@ ServeResponse ServingEngine::Process(const LadderState& state,
         if (past_deadline || attempt + 1 >= config_.max_attempts_per_rung) {
           break;  // next rung down
         }
-        uint64_t backoff = config_.retry_backoff_micros
-                           << std::min<uint32_t>(attempt, 20);
-        backoff = std::min(backoff, config_.max_backoff_micros);
+        const uint64_t backoff = std::min(
+            kRetryBackoffMicros << std::min<uint32_t>(attempt, 20),
+            kMaxBackoffMicros);
         const int64_t left = remaining();
         if (left <= 0 || backoff >= static_cast<uint64_t>(left)) {
           break;  // not enough budget to wait out a retry

@@ -64,12 +64,10 @@ struct ServingConfig {
   /// Budget margin: a rung is considered to fit when predicted cost times
   /// this factor is within the remaining budget. >1 absorbs predictor error.
   double safety_factor = 1.5;
-  /// Attempts per rung on transient faults (1 = no retry).
+  /// Attempts per rung on transient faults (1 = no retry), separated by a
+  /// capped exponential backoff (the constants in engine.cc) that is always
+  /// bounded by the remaining budget.
   uint32_t max_attempts_per_rung = 3;
-  /// Backoff before retry r is retry_backoff_micros << (r-1), capped at
-  /// max_backoff_micros, and always bounded by the remaining budget.
-  uint64_t retry_backoff_micros = 100;
-  uint64_t max_backoff_micros = 2000;
   /// Circuit breaker: this many consecutive faults quarantine a rung...
   uint32_t circuit_failure_threshold = 3;
   /// ...for this long, after which a single half-open probe may re-close it.

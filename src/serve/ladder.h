@@ -41,7 +41,7 @@ class DegradationLadder {
   /// Appends a rung whose scorer runs with intra-request parallelism:
   /// `serial_us_per_doc` is the single-thread analytic prediction and
   /// `scaling` is the machine's measured parallel efficiency
-  /// (predict::MeasureGemmParallelScaling), so the budgeted cost is
+  /// (predict::MeasureParallelScaling), so the budgeted cost is
   /// serial / (1 + e * (T - 1)) — never the naive serial / T, which would
   /// make the engine promise deadlines the hardware cannot keep.
   Status AddRung(std::string name, const FallibleScorer* scorer,

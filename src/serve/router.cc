@@ -10,6 +10,14 @@
 namespace dnlr::serve {
 namespace {
 
+/// Virtual points per shard on the consistent-hash ring.
+constexpr uint32_t kVirtualNodes = 64;
+/// Live requests allowed onto a probing shard at once.
+constexpr uint32_t kMaxProbesInFlight = 1;
+/// After a shard-side failure, how many further preference-order shards one
+/// request may try before its failure is returned to the caller.
+constexpr uint32_t kMaxFailoverHops = 2;
+
 // Relaxed increment: router counters are independent statistics, never a
 // synchronization point (see RouterCounters).
 void Bump(std::atomic<uint64_t>& counter) {
@@ -61,7 +69,7 @@ ShardedRouter::ShardedRouter(
     : config_(config),
       engine_config_(engine_config),
       clock_(clock),
-      ring_(config.virtual_nodes),
+      ring_(kVirtualNodes),
       metric_prefix_("router" + std::to_string(NextRouterInstance()) +
                      ".tenant") {
   DNLR_CHECK(clock_ != nullptr);
@@ -71,7 +79,6 @@ ShardedRouter::ShardedRouter(
   DNLR_CHECK_GT(config_.quarantine_score, 0.0);
   DNLR_CHECK_GE(config_.saturation_weight, 0.0);
   DNLR_CHECK_GE(config_.probe_successes_to_readmit, 1u);
-  DNLR_CHECK_GE(config_.max_probes_in_flight, 1u);
   const uint64_t now = clock_->NowMicros();
   shards_.reserve(ladders.size());
   for (size_t i = 0; i < ladders.size(); ++i) {
@@ -119,9 +126,9 @@ ShardedRouter::Tenant& ShardedRouter::GetTenant(uint64_t id) {
   std::unique_ptr<Tenant>& slot = tenants_[id];
   if (slot == nullptr) {
     slot = std::make_unique<Tenant>();
+    const TenantQuota unlimited;  // until SetTenantQuota says otherwise
     slot->bucket = std::make_shared<common::TokenBucket>(
-        config_.default_quota.tokens_per_second, config_.default_quota.burst,
-        clock_);
+        unlimited.tokens_per_second, unlimited.burst, clock_);
     obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
     const std::string prefix = metric_prefix_ + std::to_string(id);
     slot->requests = &registry.GetCounter(prefix + ".requests");
@@ -237,7 +244,7 @@ int ShardedRouter::PickShard(const std::vector<uint32_t>& prefer,
       case ShardState::kQuarantined:
         continue;
       case ShardState::kProbing:
-        if (shard.health.probes_in_flight < config_.max_probes_in_flight) {
+        if (shard.health.probes_in_flight < kMaxProbesInFlight) {
           ++shard.health.probes_in_flight;
           *is_probe = true;
           Bump(counters_.probes);
@@ -364,7 +371,7 @@ ShardedRouter::Response ShardedRouter::ScoreSync(uint64_t tenant,
     RecordOutcome(shard, shard_fault, is_probe, clock_->NowMicros());
 
     const bool can_retry =
-        shard_fault && !forced && fail_hops < config_.max_failover_hops &&
+        shard_fault && !forced && fail_hops < kMaxFailoverHops &&
         static_cast<size_t>(hop) + 1 < prefer.size() &&
         !request.deadline.Expired(*clock_);
     if (!serve.status.ok() && can_retry) {

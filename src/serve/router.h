@@ -44,12 +44,11 @@ struct TenantQuota {
   double burst = 1e5;
 };
 
+/// Tenants without an explicit SetTenantQuota override get the default
+/// TenantQuota, which is effectively unlimited: admission control is opt-in.
+/// The ring's virtual points per shard, the live probes a probing shard
+/// admits and the failover hops per request are constants in router.cc.
 struct RouterConfig {
-  /// Virtual points per shard on the consistent-hash ring.
-  uint32_t virtual_nodes = 64;
-  /// Quota for tenants without an explicit SetTenantQuota override. The
-  /// default is effectively unlimited: admission control is opt-in.
-  TenantQuota default_quota;
   /// Rolling health window: failure rate is measured over the current and
   /// previous windows of this length.
   uint64_t health_window_micros = 50'000;
@@ -69,11 +68,6 @@ struct RouterConfig {
   /// Consecutive successful probes that readmit a probing shard; one
   /// failed probe re-quarantines it.
   uint32_t probe_successes_to_readmit = 3;
-  /// Live requests allowed onto a probing shard at once.
-  uint32_t max_probes_in_flight = 1;
-  /// After a shard-side failure, how many further preference-order shards
-  /// one request may try before its failure is returned to the caller.
-  uint32_t max_failover_hops = 2;
 };
 
 /// Point-in-time copy of the router's own counters (admission, routing and

@@ -49,16 +49,6 @@ Result<std::unique_ptr<Servable>> Servable::LoadFromFile(
 
 Status Servable::Build(const bundle::MappedBundle& bundle,
                        const ServableOptions& options) {
-  if (options.cascade_rescore_fraction <= 0.0 ||
-      options.cascade_rescore_fraction > 1.0) {
-    return Status::InvalidArgument(
-        "servable: cascade_rescore_fraction must be in (0, 1]");
-  }
-  if (options.subset_tree_divisor == 0) {
-    return Status::InvalidArgument(
-        "servable: subset_tree_divisor must be >= 1");
-  }
-
   Result<bundle::RungConfig> rungs = bundle.Rungs();
   if (!rungs.ok()) return rungs.status();
   rung_config_ = std::move(rungs).value();
@@ -133,8 +123,8 @@ Status Servable::Build(const bundle::MappedBundle& bundle,
   }
   if (needs_subset) {
     subset_.emplace(teacher_->base_score());
-    const uint32_t keep = std::max(
-        1u, teacher_->num_trees() / options.subset_tree_divisor);
+    const uint32_t keep =
+        std::max(1u, teacher_->num_trees() / kSubsetTreeDivisor);
     for (uint32_t t = 0; t < keep && t < teacher_->num_trees(); ++t) {
       subset_->AddTree(teacher_->tree(t));
     }
@@ -142,12 +132,6 @@ Status Servable::Build(const bundle::MappedBundle& bundle,
 
   // Scorers shared across rungs are built once; heap storage keeps their
   // addresses stable for the ladder's and the cascade's borrows.
-  nn::NeuralScorerConfig nn_config;
-  nn_config.pool = options.pool;
-  // The crossover threshold rides along so a caller that measured
-  // "parallelism never wins here" gets serial rungs, not taxed ones.
-  nn_config.min_parallel_docs =
-      std::max(nn_config.min_parallel_docs, options.min_parallel_docs);
   const data::ZNormalizer* normalizer =
       normalizer_.has_value() ? &*normalizer_ : nullptr;
 
@@ -169,10 +153,10 @@ Status Servable::Build(const bundle::MappedBundle& bundle,
     // the sparse engine, an unpruned student on the dense one.
     if (student_model->layer(0).weight.Sparsity() >= 0.5) {
       doc_scorers_.push_back(std::make_unique<nn::HybridNeuralScorer>(
-          *student_model, normalizer, nn_config));
+          *student_model, normalizer));
     } else {
       doc_scorers_.push_back(std::make_unique<nn::NeuralScorer>(
-          *student_model, normalizer, nn_config));
+          *student_model, normalizer));
     }
     student_scorer = doc_scorers_.back().get();
   }
@@ -193,8 +177,7 @@ Status Servable::Build(const bundle::MappedBundle& bundle,
     } else {  // "cascade", the only kind left after the scan above
       if (cascade_scorer == nullptr) {
         doc_scorers_.push_back(std::make_unique<core::CascadeScorer>(
-            subset_scorer, student_scorer,
-            options.cascade_rescore_fraction));
+            subset_scorer, student_scorer, kCascadeRescoreFraction));
         cascade_scorer = doc_scorers_.back().get();
       }
       scorer = cascade_scorer;

@@ -9,7 +9,6 @@
 #include "bundle/bundle.h"
 #include "bundle/mapped_bundle.h"
 #include "common/status.h"
-#include "common/thread_pool.h"
 #include "data/normalize.h"
 #include "forest/scorer.h"
 #include "gbdt/ensemble.h"
@@ -18,27 +17,17 @@
 
 namespace dnlr::serve {
 
+/// Fraction of first-stage survivors the cascade rung rescores.
+inline constexpr double kCascadeRescoreFraction = 0.25;
+/// The teacher-subset rung keeps the first num_trees / divisor trees of the
+/// teacher (at least one).
+inline constexpr uint32_t kSubsetTreeDivisor = 4;
+
 struct ServableOptions {
   /// Input stride of the feature rows the rungs will score. 0 derives it
   /// from the bundle's normalizer statistics; a bundle with no normalizer
   /// section then fails to load with InvalidArgument.
   uint32_t num_features = 0;
-  /// Fraction of first-stage survivors the cascade rung rescores.
-  double cascade_rescore_fraction = 0.25;
-  /// The teacher-subset rung keeps the first num_trees / divisor trees of
-  /// the teacher (at least one).
-  uint32_t subset_tree_divisor = 4;
-  /// Optional intra-request parallelism for the neural rungs. Not owned;
-  /// must outlive the Servable.
-  common::ThreadPool* pool = nullptr;
-  /// Parallel crossover for the neural rungs (see
-  /// nn::NeuralScorerConfig::min_parallel_docs): Score calls below this
-  /// many documents stay serial. Callers with a measured
-  /// predict::ParallelScaling should pass
-  /// scaling.CrossoverDocs(serial_us_per_doc); UINT32_MAX pins the rungs
-  /// serial on machines where parallelism never wins. 0 keeps the
-  /// structural default.
-  uint32_t min_parallel_docs = 0;
 };
 
 /// Everything a hot-swappable model generation needs to serve, owned in one
@@ -58,7 +47,7 @@ struct ServableOptions {
 ///   "teacher"        the full LambdaMART ensemble under QuickScorer
 ///                    (WideQuickScorer above 64 leaves)
 ///   "cascade"        teacher-subset first stage + student rescoring
-///   "teacher-subset" the first num_trees / subset_tree_divisor trees
+///   "teacher-subset" the first num_trees / kSubsetTreeDivisor trees
 ///
 /// Immutable after construction; scoring through the ladder is thread-safe.
 class Servable {

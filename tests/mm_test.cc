@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "common/thread_pool.h"
 #include "mm/csr.h"
 #include "mm/gemm.h"
 #include "mm/matrix.h"
@@ -290,17 +289,16 @@ TEST(PackedGemmTest, EmptySharedDimensionStoresEpilogueOfZero) {
   }
 }
 
-// Non-default blocking (scalar micro-kernel, several mc / kc / nc blocks)
-// and the parallel path: the packed operand carries its params, and every
-// chunk reads the shared panels, so all three products agree bitwise.
-TEST(PackedGemmTest, CustomParamsAndParallelPathMatch) {
+// Non-default blocking (scalar micro-kernel, several mc / kc / nc blocks):
+// the packed operand carries its params, so the pre-packed product and the
+// per-call-packed one followed by a separate epilogue pass agree bitwise.
+TEST(PackedGemmTest, CustomParamsMatchPerCallPacking) {
   GemmParams params;
   params.mr = 4;
   params.nr = 5;
   params.mc = 8;
   params.kc = 16;
   params.nc = 10;
-  params.min_parallel_flops = 0;
   Rng rng(4);
   Matrix a(33, 47);
   Matrix b(47, 29);
@@ -312,15 +310,9 @@ TEST(PackedGemmTest, CustomParamsAndParallelPathMatch) {
   BiasActivate(bias, /*activate=*/true, &expected);
 
   const PackedMatrix packed(a, params);
-  const Epilogue epilogue{bias.data(), /*relu6=*/true};
-  Matrix serial(33, 29);
-  Gemm(packed, b, &serial, epilogue);
-  EXPECT_TRUE(BitwiseEqual(serial, expected));
-
-  common::ThreadPool pool(3);
-  Matrix parallel(33, 29);
-  Gemm(packed, b, &parallel, epilogue, &pool);
-  EXPECT_TRUE(BitwiseEqual(parallel, expected));
+  Matrix got(33, 29);
+  Gemm(packed, b, &got, Epilogue{bias.data(), /*relu6=*/true});
+  EXPECT_TRUE(BitwiseEqual(got, expected));
 }
 
 // Plants -0 (one spot and, past two rows, all of row 1) and NaN and +-Inf
@@ -350,17 +342,15 @@ void PlantSpecials(Matrix* x) {
 // kernel, bit for bit: every C element is the same FMA chain over k from +0
 // per KC panel whatever the tile, so only the blocking differs. The shapes
 // straddle both tiles' edges (m around 6, 12 and mc = 72; n around 16 and
-// 32) and the KC boundary; pre-packed and per-call A, serial and pooled.
+// 32) and the KC boundary; pre-packed and per-call A.
 TEST(PackedGemmTest, Avx512KernelBitwiseMatchesAvx2Kernel) {
   if (std::string(GemmKernelName()) != "avx512-12x32") {
     GTEST_SKIP() << "AVX-512 micro-kernel not compiled in";
   }
-  GemmParams wide;
-  wide.min_parallel_flops = 0;  // let the pool split every multi-block shape
+  const GemmParams wide;
   GemmParams avx2 = wide;
   avx2.mr = 6;
   avx2.nr = 16;
-  common::ThreadPool pool(3);
   for (const uint32_t m : {1u, 5u, 6u, 7u, 11u, 12u, 13u, 72u, 73u, 100u}) {
     for (const uint32_t k : {1u, 50u, 256u, 257u, 300u}) {
       Rng rng(static_cast<uint64_t>(m) * 7919 + k);
@@ -375,27 +365,21 @@ TEST(PackedGemmTest, Avx512KernelBitwiseMatchesAvx2Kernel) {
         Matrix b(k, n);
         b.FillNormal(rng);
         PlantSpecials(&b);
-        for (common::ThreadPool* threads : {static_cast<common::ThreadPool*>(
-                                                nullptr),
-                                            &pool}) {
-          const Epilogue epilogue{bias.data(), /*relu6=*/true};
-          Matrix got(m, n);
-          Matrix want(m, n);
-          got.Fill(-123.0f);
-          want.Fill(456.0f);
-          Gemm(packed_wide, b, &got, epilogue, threads);
-          Gemm(packed_avx2, b, &want, epilogue, threads);
-          EXPECT_TRUE(BitwiseEqual(got, want))
-              << m << "x" << k << "x" << n << " packed, pool "
-              << (threads != nullptr);
-          got.Fill(std::numeric_limits<float>::quiet_NaN());
-          want.Fill(-0.0f);
-          GemmWithParams(a, b, &got, wide, threads);
-          GemmWithParams(a, b, &want, avx2, threads);
-          EXPECT_TRUE(BitwiseEqual(got, want))
-              << m << "x" << k << "x" << n << " per call, pool "
-              << (threads != nullptr);
-        }
+        const Epilogue epilogue{bias.data(), /*relu6=*/true};
+        Matrix got(m, n);
+        Matrix want(m, n);
+        got.Fill(-123.0f);
+        want.Fill(456.0f);
+        Gemm(packed_wide, b, &got, epilogue);
+        Gemm(packed_avx2, b, &want, epilogue);
+        EXPECT_TRUE(BitwiseEqual(got, want))
+            << m << "x" << k << "x" << n << " packed";
+        got.Fill(std::numeric_limits<float>::quiet_NaN());
+        want.Fill(-0.0f);
+        GemmWithParams(a, b, &got, wide);
+        GemmWithParams(a, b, &want, avx2);
+        EXPECT_TRUE(BitwiseEqual(got, want))
+            << m << "x" << k << "x" << n << " per call";
       }
     }
   }

@@ -10,6 +10,7 @@
 
 #include "data/normalize.h"
 #include "data/synthetic.h"
+#include "forest/parallel_scorer.h"
 #include "gbdt/booster.h"
 #include "metrics/metrics.h"
 #include "mm/csr.h"
@@ -424,30 +425,41 @@ TEST_F(DistillFixture, ScorersBitwiseMatchReferenceForward) {
       if (i % 4 != 0) w0.data()[i] = 0.0f;
     }
     for (const uint32_t batch_size : {7u, 64u}) {
-      for (const bool use_pool : {false, true}) {
-        NeuralScorerConfig config;
-        config.batch_size = batch_size;
-        config.pool = use_pool ? &pool : nullptr;
-        config.min_parallel_docs = 0;
-        for (const data::ZNormalizer* normalizer :
-             {static_cast<const data::ZNormalizer*>(normalizer_),
-              static_cast<const data::ZNormalizer*>(nullptr)}) {
-          const NeuralScorer dense(mlp, normalizer, config);
-          const HybridNeuralScorer hybrid(mlp, normalizer, config);
+      NeuralScorerConfig config;
+      config.batch_size = batch_size;
+      for (const data::ZNormalizer* normalizer :
+           {static_cast<const data::ZNormalizer*>(normalizer_),
+            static_cast<const data::ZNormalizer*>(nullptr)}) {
+        const NeuralScorer dense(mlp, normalizer, config);
+        const HybridNeuralScorer hybrid(mlp, normalizer, config);
+        // The pooled engines split at multiples of batch_size.
+        const forest::ParallelScorer pooled_dense(&dense, &pool, batch_size);
+        const forest::ParallelScorer pooled_hybrid(&hybrid, &pool,
+                                                   batch_size);
+        const std::vector<float> dense_want =
+            ReferenceScores(mlp, normalizer, splits_->test, batch_size,
+                            /*sparse_first=*/false);
+        const std::vector<float> hybrid_want =
+            ReferenceScores(mlp, normalizer, splits_->test, batch_size,
+                            /*sparse_first=*/true);
+        struct Engines {
+          bool pooled;
+          const forest::DocumentScorer* dense;
+          const forest::DocumentScorer* hybrid;
+        };
+        for (const Engines& engines :
+             {Engines{false, &dense, &hybrid},
+              Engines{true, &pooled_dense, &pooled_hybrid}}) {
           const std::string where =
               "hidden " + std::to_string(hidden[0]) + " batch " +
               std::to_string(batch_size) + " pool " +
-              std::to_string(use_pool) + " normalizer " +
+              std::to_string(engines.pooled) + " normalizer " +
               std::to_string(normalizer != nullptr);
           EXPECT_TRUE(BitwiseEqual(
-              dense.ScoreDataset(splits_->test),
-              ReferenceScores(mlp, normalizer, splits_->test, batch_size,
-                              /*sparse_first=*/false)))
+              engines.dense->ScoreDataset(splits_->test), dense_want))
               << "dense, " << where;
           EXPECT_TRUE(BitwiseEqual(
-              hybrid.ScoreDataset(splits_->test),
-              ReferenceScores(mlp, normalizer, splits_->test, batch_size,
-                              /*sparse_first=*/true)))
+              engines.hybrid->ScoreDataset(splits_->test), hybrid_want))
               << "hybrid, " << where;
         }
       }

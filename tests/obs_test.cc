@@ -11,6 +11,7 @@
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "common/timer.h"
+#include "forest/parallel_scorer.h"
 #include "mm/gemm.h"
 #include "nn/mlp.h"
 #include "nn/scorer.h"
@@ -238,12 +239,10 @@ TEST(InstrumentationTest, NeuralScorersNeverPackWeightsPerBatch) {
   common::ThreadPool pool(2);
   nn::NeuralScorerConfig config;
   config.batch_size = 16;
-  config.min_parallel_docs = 0;
-  const nn::NeuralScorer serial_dense(mlp, nullptr);
-  const nn::HybridNeuralScorer serial_hybrid(mlp, nullptr);
-  config.pool = &pool;
-  const nn::NeuralScorer pooled_dense(mlp, nullptr, config);
-  const nn::HybridNeuralScorer pooled_hybrid(mlp, nullptr, config);
+  const nn::NeuralScorer serial_dense(mlp, nullptr, config);
+  const nn::HybridNeuralScorer serial_hybrid(mlp, nullptr, config);
+  const forest::ParallelScorer pooled_dense(&serial_dense, &pool, 16);
+  const forest::ParallelScorer pooled_hybrid(&serial_hybrid, &pool, 16);
 
   Rng rng(8);
   const uint32_t docs = 100;
@@ -256,10 +255,9 @@ TEST(InstrumentationTest, NeuralScorersNeverPackWeightsPerBatch) {
   const uint64_t pack_a_before = pack_a.Count();
   const uint64_t kernel_before = kernel.Count();
   registry.SetEnabled(true);
-  for (const nn::NeuralScorer* scorer :
-       {&serial_dense, &pooled_dense,
-        static_cast<const nn::NeuralScorer*>(&serial_hybrid),
-        static_cast<const nn::NeuralScorer*>(&pooled_hybrid)}) {
+  const forest::DocumentScorer* const scorers[] = {
+      &serial_dense, &serial_hybrid, &pooled_dense, &pooled_hybrid};
+  for (const forest::DocumentScorer* scorer : scorers) {
     scorer->Score(features_in.data(), docs, features, scores.data());
   }
   registry.SetEnabled(false);

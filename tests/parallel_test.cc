@@ -7,16 +7,14 @@
 #include <mutex>
 #include <stdexcept>
 #include <thread>
-#include <tuple>
 #include <vector>
 
 #include "common/rng.h"
 #include "common/thread_pool.h"
+#include "core/cascade.h"
 #include "forest/parallel_scorer.h"
 #include "forest/quickscorer.h"
 #include "gbdt/tree.h"
-#include "mm/gemm.h"
-#include "mm/matrix.h"
 #include "nn/mlp.h"
 #include "nn/scorer.h"
 #include "prune/magnitude.h"
@@ -209,114 +207,7 @@ TEST(ThreadPoolTest, StatsProveTargetedWakeupsAndExactExecution) {
 }
 
 // ---------------------------------------------------------------------------
-// Parallel GEMM: bitwise identity with the serial kernel.
-
-/// Shapes chosen to hit every blocking edge case: single element, sub-tile,
-/// ragged tails in all three dimensions, and multiple mc blocks.
-const std::tuple<uint32_t, uint32_t, uint32_t> kGemmShapes[] = {
-    {1, 1, 1},    {5, 7, 3},     {13, 17, 31},
-    {63, 33, 70}, {100, 24, 37}, {130, 40, 65},
-};
-
-TEST(ParallelGemmTest, BitwiseEqualsSerialAcrossShapesAndThreads) {
-  for (const auto& [m, k, n] : kGemmShapes) {
-    Rng rng(static_cast<uint64_t>(m) * 131 + k * 17 + n);
-    mm::Matrix a(m, k);
-    mm::Matrix b(k, n);
-    a.FillNormal(rng);
-    b.FillNormal(rng);
-
-    // Small mc forces several ic macro-blocks even on tiny shapes, so the
-    // parallel path actually splits (default mc=72 would leave most of
-    // these shapes single-block). mr/nr granularity must be respected.
-    // min_parallel_flops = 0 disables the crossover gate: every shape here
-    // sits below the default threshold, and this sweep exists to prove the
-    // parallel kernel itself is bitwise-exact (the gate has its own test).
-    mm::GemmParams defaults;
-    defaults.min_parallel_flops = 0;
-    mm::GemmParams small_blocks;
-    small_blocks.mc = 12;
-    small_blocks.kc = 16;
-    small_blocks.nc = 32;
-    small_blocks.min_parallel_flops = 0;
-
-    for (const mm::GemmParams& params : {defaults, small_blocks}) {
-      mm::Matrix serial(m, n);
-      mm::GemmWithParams(a, b, &serial, params);
-      for (const uint32_t threads : {1u, 3u, 8u}) {
-        ThreadPool pool(threads);
-        mm::Matrix parallel(m, n);
-        parallel.Fill(-123.0f);  // poison: every element must be written
-        mm::GemmWithParams(a, b, &parallel, params, &pool);
-        ASSERT_EQ(std::memcmp(serial.data(), parallel.data(),
-                              serial.size() * sizeof(float)),
-                  0)
-            << "shape (" << m << "," << k << "," << n << ") threads "
-            << threads << " mc " << params.mc;
-      }
-    }
-  }
-}
-
-// The work-size crossover gate: shapes below min_parallel_flops must stay
-// on the calling thread (no coordination tax for small work), shapes at or
-// above it must fan out — and both sides stay bitwise-identical to serial.
-// Pool stats distinguish the paths: only a fan-out runs queued tasks.
-TEST(ParallelGemmTest, CrossoverGateStraddle) {
-  mm::GemmParams params;
-  params.mc = 12;  // several ic macro-blocks even on small shapes
-  params.kc = 16;
-  params.nc = 32;
-  // Threshold chosen so the shapes below straddle it exactly:
-  // 2 * m * 32 * 32 flops => m = 32 is half, m = 48 is at, m = 96 is 2x.
-  params.min_parallel_flops = 2ull * 48 * 32 * 32;
-
-  ThreadPool pool(3);
-  struct Case {
-    uint32_t m;
-    bool expect_parallel;
-  };
-  for (const Case c : {Case{32, false}, Case{48, true}, Case{96, true}}) {
-    Rng rng(c.m);
-    mm::Matrix a(c.m, 32);
-    mm::Matrix b(32, 32);
-    a.FillNormal(rng);
-    b.FillNormal(rng);
-    mm::Matrix serial(c.m, 32);
-    mm::GemmWithParams(a, b, &serial, params);
-
-    const uint64_t tasks_before = pool.GetStats().tasks_run;
-    mm::Matrix gated(c.m, 32);
-    gated.Fill(-123.0f);
-    mm::GemmWithParams(a, b, &gated, params, &pool);
-    const uint64_t tasks_after = pool.GetStats().tasks_run;
-
-    EXPECT_EQ(tasks_after > tasks_before, c.expect_parallel)
-        << "m " << c.m << ": wrong side of the crossover";
-    ASSERT_EQ(std::memcmp(serial.data(), gated.data(),
-                          serial.size() * sizeof(float)),
-              0)
-        << "m " << c.m;
-  }
-}
-
-TEST(ParallelGemmTest, NullPoolIsSerial) {
-  Rng rng(7);
-  mm::Matrix a(30, 20);
-  mm::Matrix b(20, 10);
-  a.FillNormal(rng);
-  b.FillNormal(rng);
-  mm::Matrix serial(30, 10);
-  mm::Matrix via_null(30, 10);
-  mm::Gemm(a, b, &serial);
-  mm::Gemm(a, b, &via_null, nullptr);
-  EXPECT_EQ(std::memcmp(serial.data(), via_null.data(),
-                        serial.size() * sizeof(float)),
-            0);
-}
-
-// ---------------------------------------------------------------------------
-// Neural scorers: pool chunking preserves scores bitwise.
+// Neural scorers: chunks of whole batches preserve scores bitwise.
 
 std::vector<float> RandomDocs(uint32_t count, uint32_t stride, uint64_t seed) {
   Rng rng(seed);
@@ -337,9 +228,7 @@ TEST(ParallelNeuralScorerTest, DenseBitwiseEqualsSerial) {
 
     for (const uint32_t threads : {3u, 8u}) {
       ThreadPool pool(threads);
-      nn::NeuralScorerConfig config;
-      config.pool = &pool;
-      const nn::NeuralScorer parallel(mlp, nullptr, config);
+      const forest::ParallelScorer parallel(&serial, &pool);
       std::vector<float> actual(count, -123.0f);
       parallel.Score(docs.data(), count, stride, actual.data());
       ASSERT_EQ(std::memcmp(expected.data(), actual.data(),
@@ -358,10 +247,9 @@ TEST(ParallelNeuralScorerTest, CrossoverDocsStraddle) {
   const nn::NeuralScorer reference(mlp, nullptr);
 
   ThreadPool pool(3);
-  nn::NeuralScorerConfig config;
-  config.pool = &pool;
-  config.min_parallel_docs = 256;
-  const nn::NeuralScorer gated(mlp, nullptr, config);
+  const forest::ParallelScorer gated(&reference, &pool,
+                                     /*min_docs_per_chunk=*/64,
+                                     /*min_parallel_docs=*/256);
 
   struct Case {
     uint32_t count;
@@ -401,9 +289,7 @@ TEST(ParallelNeuralScorerTest, HybridBitwiseEqualsSerial) {
   serial.Score(docs.data(), count, stride, expected.data());
 
   ThreadPool pool(3);
-  nn::NeuralScorerConfig config;
-  config.pool = &pool;
-  const nn::HybridNeuralScorer parallel(mlp, nullptr, config);
+  const forest::ParallelScorer parallel(&serial, &pool);
   std::vector<float> actual(count, -123.0f);
   parallel.Score(docs.data(), count, stride, actual.data());
   EXPECT_EQ(std::memcmp(expected.data(), actual.data(),
@@ -412,7 +298,8 @@ TEST(ParallelNeuralScorerTest, HybridBitwiseEqualsSerial) {
 }
 
 // ---------------------------------------------------------------------------
-// ParallelEnsembleScorer: chunked traversal equals the inner scorer.
+// ParallelScorer over tree ensembles: chunked traversal equals the inner
+// scorer.
 
 /// A small hand-built forest: stumps over distinct features, so scores
 /// depend on every document's values and chunk boundaries would show.
@@ -440,8 +327,8 @@ TEST(ParallelEnsembleScorerTest, BitwiseEqualsInnerScorer) {
 
   for (const uint32_t threads : {1u, 3u, 8u}) {
     ThreadPool pool(threads);
-    const forest::ParallelEnsembleScorer wrapper(&inner, &pool,
-                                                 /*min_docs_per_chunk=*/16);
+    const forest::ParallelScorer wrapper(&inner, &pool,
+                                         /*min_docs_per_chunk=*/16);
     std::vector<float> actual(count, -123.0f);
     wrapper.Score(docs.data(), count, features, actual.data());
     ASSERT_EQ(std::memcmp(expected.data(), actual.data(),
@@ -459,9 +346,9 @@ TEST(ParallelEnsembleScorerTest, CrossoverDocsStraddle) {
   const gbdt::Ensemble ensemble = MakeStumpForest(features);
   const forest::QuickScorer inner(ensemble, features);
   ThreadPool pool(3);
-  const forest::ParallelEnsembleScorer wrapper(&inner, &pool,
-                                               /*min_docs_per_chunk=*/16,
-                                               /*min_parallel_docs=*/256);
+  const forest::ParallelScorer wrapper(&inner, &pool,
+                                       /*min_docs_per_chunk=*/16,
+                                       /*min_parallel_docs=*/256);
   struct Case {
     uint32_t count;
     bool expect_parallel;
@@ -490,8 +377,8 @@ TEST(ParallelEnsembleScorerTest, TinyBlocksStayOnCallingThread) {
   const gbdt::Ensemble ensemble = MakeStumpForest(features);
   const forest::QuickScorer inner(ensemble, features);
   ThreadPool pool(4);
-  const forest::ParallelEnsembleScorer wrapper(&inner, &pool,
-                                               /*min_docs_per_chunk=*/64);
+  const forest::ParallelScorer wrapper(&inner, &pool,
+                                       /*min_docs_per_chunk=*/64);
   // 100 docs < 2 * 64: pass-through, still correct.
   const uint32_t count = 100;
   const std::vector<float> docs = RandomDocs(count, features, 29);
@@ -513,9 +400,8 @@ TEST(ParallelServingTest, EngineWorkersSharePoolWithoutDeadlock) {
   const nn::Mlp mlp(predict::Architecture(stride, {12, 6}), 5);
 
   ThreadPool pool(2);
-  nn::NeuralScorerConfig config;
-  config.pool = &pool;
-  const nn::NeuralScorer scorer(mlp, nullptr, config);
+  const nn::NeuralScorer reference(mlp, nullptr);
+  const forest::ParallelScorer scorer(&reference, &pool);
   const serve::InfallibleScorerAdapter adapter(&scorer);
 
   serve::DegradationLadder ladder;
@@ -530,7 +416,6 @@ TEST(ParallelServingTest, EngineWorkersSharePoolWithoutDeadlock) {
   // complete (no deadlock) with the serial scorer's exact scores.
   const uint32_t count = 200;
   const std::vector<float> docs = RandomDocs(count, stride, 31);
-  const nn::NeuralScorer reference(mlp, nullptr);
   std::vector<float> expected(count);
   reference.Score(docs.data(), count, stride, expected.data());
 
@@ -551,6 +436,41 @@ TEST(ParallelServingTest, EngineWorkersSharePoolWithoutDeadlock) {
               0);
   }
   engine.Stop();
+}
+
+// The cascade is built over wrapped stages, never wrapped itself: each
+// stage is per-document, so the wrapped first stage and the wrapped
+// rescoring stage reproduce the serial stages bitwise, and the cascade's
+// per-call cut and score shift see the whole list. Every list here splits
+// (>= 128 docs on a 2-thread pool), and the top quarter of the longer ones
+// splits again in the rescoring stage.
+TEST(ParallelServingTest, CascadeOverParallelStagesBitwiseEqualsSerial) {
+  const uint32_t stride = 6;
+  const gbdt::Ensemble ensemble = MakeStumpForest(stride);
+  const forest::QuickScorer first(ensemble, stride);
+  const nn::Mlp mlp(predict::Architecture(stride, {16, 8}), 7);
+  const nn::NeuralScorer second(mlp, nullptr);
+  const core::CascadeScorer serial(&first, &second, 0.25);
+
+  ThreadPool pool(2);
+  const forest::ParallelScorer par_first(&first, &pool);
+  const forest::ParallelScorer par_second(&second, &pool);
+  const core::CascadeScorer parallel(&par_first, &par_second, 0.25);
+
+  for (const uint32_t count : {128u, 150u, 333u, 600u}) {
+    const std::vector<float> docs = RandomDocs(count, stride, count + 41);
+    std::vector<float> expected(count);
+    serial.Score(docs.data(), count, stride, expected.data());
+
+    const uint64_t tasks_before = pool.GetStats().tasks_run;
+    std::vector<float> actual(count, -123.0f);
+    parallel.Score(docs.data(), count, stride, actual.data());
+    EXPECT_GT(pool.GetStats().tasks_run, tasks_before) << "count " << count;
+    ASSERT_EQ(std::memcmp(expected.data(), actual.data(),
+                          count * sizeof(float)),
+              0)
+        << "count " << count;
+  }
 }
 
 }  // namespace

@@ -347,9 +347,10 @@ std::string GemmSplitJson(const std::vector<double>& micros) {
   return json.str();
 }
 
-/// Measures GEMM GFLOP/s and end-to-end docs/s of the dense-NN, hybrid-NN
-/// and tree-ensemble rungs at each requested thread count and writes a
-/// scaling JSON report — the multi-core counterpart of the paper's
+/// Measures end-to-end docs/s of the dense-NN, hybrid-NN and tree-ensemble
+/// rungs, each behind a forest::ParallelScorer, at each requested thread
+/// count, next to the parallel efficiency the ladder budgets with, and
+/// writes a scaling JSON report — the multi-core counterpart of the paper's
 /// single-core efficiency tables: the same engines, sped up by the shared
 /// ThreadPool instead of by shrinking the architecture. With
 /// --min-t2-ratio R > 0 the command fails (exit 1) when the dense rung's
@@ -397,10 +398,8 @@ int CmdBenchScaling(const Args& args) {
 
   struct Row {
     uint32_t threads = 1;
-    double gemm_gflops = 0.0;
     double efficiency = 1.0;
     double overhead_us = 0.0;
-    uint64_t crossover_flops = 0;
     uint32_t nn_min_parallel_docs = 0;
     double dense_docs_per_s = 0.0;
     double hybrid_docs_per_s = 0.0;
@@ -443,6 +442,11 @@ int CmdBenchScaling(const Args& args) {
     report.preset = preset;
     report.docs = dataset.num_docs();
 
+    // The neural engines pack their weights once; every thread count wraps
+    // the same scorers in the one intra-request fan-out.
+    const nn::NeuralScorer dense(dense_mlp, &corpus.normalizer);
+    const nn::HybridNeuralScorer hybrid(hybrid_mlp, &corpus.normalizer);
+
     // Serial per-doc costs from the T=1 row feed CrossoverDocs for the
     // T>1 rows, so the crossover the bench applies is the one a production
     // caller would compute from the same measurements.
@@ -458,43 +462,34 @@ int CmdBenchScaling(const Args& args) {
 
       uint32_t nn_crossover = 0;
       uint32_t tree_crossover = 0;
-      mm::GemmParams gemm_params;
       if (t > 1) {
         const predict::ParallelScaling scaling =
-            predict::MeasureGemmParallelScaling(pool_ptr, 256, 256, 512,
-                                                repeats);
+            predict::MeasureParallelScaling(pool_ptr, 256, 256, 64, repeats);
         row.efficiency = scaling.efficiency;
         row.overhead_us = scaling.overhead_us;
-        row.crossover_flops = scaling.crossover_flops;
         // Each engine gates on its own serial cost; without a T=1 baseline
-        // (a --threads list omitting 1) the structural defaults stand.
+        // (a --threads list omitting 1) the structural floor stands.
         if (dense_serial_us > 0.0) {
           nn_crossover = scaling.CrossoverDocs(dense_serial_us);
         }
         if (tree_serial_us > 0.0) {
           tree_crossover = scaling.CrossoverDocs(tree_serial_us);
         }
-        gemm_params.min_parallel_flops = scaling.crossover_flops;
       }
-      row.gemm_gflops = mm::MeasureGemmGflopsWithParams(gemm_params, 256, 256,
-                                                        64, repeats, 99,
-                                                        pool_ptr);
-
-      nn::NeuralScorerConfig nn_config;
-      nn_config.pool = pool_ptr;
-      nn_config.min_parallel_docs =
-          std::max(nn_config.min_parallel_docs, nn_crossover);
-      row.nn_min_parallel_docs = nn_config.min_parallel_docs;
-      const nn::NeuralScorer dense(dense_mlp, &corpus.normalizer, nn_config);
-      const nn::HybridNeuralScorer hybrid(hybrid_mlp, &corpus.normalizer,
-                                          nn_config);
-      const forest::ParallelEnsembleScorer tree(&tree_scorer, pool_ptr, 64,
-                                                tree_crossover);
+      // Chunks of whole 64-document batches keep the neural scores bitwise;
+      // below two of them a call stays serial whatever the crossover.
+      row.nn_min_parallel_docs = std::max(2u * 64, nn_crossover);
+      const forest::ParallelScorer par_dense(&dense, pool_ptr, 64,
+                                             nn_crossover);
+      const forest::ParallelScorer par_hybrid(&hybrid, pool_ptr, 64,
+                                              nn_crossover);
+      const forest::ParallelScorer tree(&tree_scorer, pool_ptr, 64,
+                                        tree_crossover);
 
       const double dense_us =
-          core::MeasureScorerMicrosPerDoc(dense, dataset, repeats);
+          core::MeasureScorerMicrosPerDoc(par_dense, dataset, repeats);
       const double hybrid_us =
-          core::MeasureScorerMicrosPerDoc(hybrid, dataset, repeats);
+          core::MeasureScorerMicrosPerDoc(par_hybrid, dataset, repeats);
       const double tree_us =
           core::MeasureScorerMicrosPerDoc(tree, dataset, repeats);
       if (t == 1) {
@@ -506,9 +501,9 @@ int CmdBenchScaling(const Args& args) {
       row.tree_docs_per_s = 1e6 / tree_us;
       report.rows.push_back(row);
       std::fprintf(stderr,
-                   "[%s] T=%u  gemm %7.2f GFLOP/s  dense %9.0f  "
+                   "[%s] T=%u  efficiency %.2f  dense %9.0f  "
                    "hybrid %9.0f  tree %9.0f docs/s\n",
-                   preset.name.c_str(), t, row.gemm_gflops,
+                   preset.name.c_str(), t, row.efficiency,
                    row.dense_docs_per_s, row.hybrid_docs_per_s,
                    row.tree_docs_per_s);
     }
@@ -544,10 +539,10 @@ int CmdBenchScaling(const Args& args) {
     if (!report.gate_pass) gates_pass = false;
   }
 
-  // UINT64_MAX / UINT32_MAX sentinels ("parallelism never wins on this
-  // machine") are reported as -1, readable where 20 digits would not be.
-  const auto or_minus_one = [](uint64_t value, uint64_t sentinel) {
-    return value == sentinel ? int64_t{-1} : static_cast<int64_t>(value);
+  // The UINT32_MAX sentinel ("parallelism never wins on this machine") is
+  // reported as -1, readable where ten digits would not be.
+  const auto or_minus_one = [](uint32_t value) {
+    return value == UINT32_MAX ? int64_t{-1} : int64_t{value};
   };
   std::vector<std::string> configs;
   for (const ConfigReport& report : reports) {
@@ -560,13 +555,10 @@ int CmdBenchScaling(const Args& args) {
       results += (results.empty() ? "" : ",\n       ") +
                  JsonObject(
                      "threads", row.threads,
-                     "gemm_gflops", Fixed(row.gemm_gflops, 3),
                      "parallel_efficiency", Fixed(row.efficiency, 3),
                      "overhead_us", Fixed(row.overhead_us, 2),
-                     "crossover_flops",
-                     or_minus_one(row.crossover_flops, UINT64_MAX),
                      "nn_min_parallel_docs",
-                     or_minus_one(row.nn_min_parallel_docs, UINT32_MAX),
+                     or_minus_one(row.nn_min_parallel_docs),
                      "dense_docs_per_s", Fixed(row.dense_docs_per_s, 1),
                      "dense_speedup",
                      Fixed(row.dense_docs_per_s / base.dense_docs_per_s, 3),

@@ -191,7 +191,7 @@ struct BundleFamily {
         poison_path(path_in + ".poison"),
         options{.num_features = corpus_in.features()},
         teacher(TrainForest(corpus_in.dataset, kTeacherTrees, 16)),
-        subset(FirstTrees(teacher, options.subset_tree_divisor)),
+        subset(FirstTrees(teacher, serve::kSubsetTreeDivisor)),
         arch(corpus_in.features(), {64, 32}),
         student(arch, kSeed + 1),
         student_scorer(student, &corpus_in.normalizer),
@@ -205,7 +205,7 @@ struct BundleFamily {
     costs[0] = student_cost;
     costs[1] = std::min(student_cost, serve::PredictCascadeMicrosPerDoc(
                                           subset_cost, student_cost,
-                                          options.cascade_rescore_fraction));
+                                          serve::kCascadeRescoreFraction));
     costs[2] = std::min(costs[1], subset_cost);
   }
   // The scorers and the swap gate point into this object.
@@ -480,31 +480,32 @@ int LatencyScenario(const Args& args) {
   const predict::Architecture small_arch(features, {64, 32});
   const nn::Mlp small(small_arch, kSeed + 1);
 
-  // Intra-request parallelism: every rung shares one pool (neural rungs
-  // chunk whole batches, bitwise-identical; tree rungs wrap in
-  // ParallelEnsembleScorer). Rung budgets scale by the MEASURED parallel
-  // efficiency, measured before the scorers are built so a machine where
+  // Intra-request parallelism: every rung shares one pool through a
+  // forest::ParallelScorer, which splits at the neural batch size (64) so
+  // every rung stays bitwise. The cascade runs over the wrapped stages: a
+  // wrapped cascade would re-cut its top fraction per chunk. Rung budgets
+  // scale by the MEASURED parallel efficiency, and a machine where
   // threading never pays pins every rung to its serial path.
   common::ThreadPool pool(std::max(1u, threads));
   common::ThreadPool* pool_ptr = threads > 1 ? &pool : nullptr;
   predict::ParallelScaling scaling;
   if (threads > 1) {
-    scaling = predict::MeasureGemmParallelScaling(pool_ptr);
+    scaling = predict::MeasureParallelScaling(pool_ptr);
     std::fprintf(stderr, "parallel scaling: T=%u efficiency %.2f -> %.2fx\n",
                  scaling.num_threads, scaling.efficiency, scaling.Speedup());
   }
-  const bool parallel_never_wins = scaling.crossover_flops == UINT64_MAX;
-  nn::NeuralScorerConfig nn_config;
-  nn_config.pool = pool_ptr;
-  if (parallel_never_wins) nn_config.min_parallel_docs = UINT32_MAX;
-  const nn::HybridNeuralScorer hybrid(big, &corpus.normalizer, nn_config);
-  const nn::NeuralScorer dense_small(small, &corpus.normalizer, nn_config);
-  const core::CascadeScorer cascade(&subset_qs, &dense_small, 0.25);
-  const uint32_t tree_crossover = parallel_never_wins ? UINT32_MAX : 0;
-  const forest::ParallelEnsembleScorer par_cascade(&cascade, pool_ptr, 64,
-                                                   tree_crossover);
-  const forest::ParallelEnsembleScorer par_subset(&subset_qs, pool_ptr, 64,
-                                                  tree_crossover);
+  // 0 keeps the wrappers' structural two-batch floor; CrossoverDocs'
+  // "never wins" sentinel does not depend on the per-document cost.
+  const uint32_t crossover =
+      scaling.CrossoverDocs(1.0) == UINT32_MAX ? UINT32_MAX : 0;
+  const nn::HybridNeuralScorer hybrid(big, &corpus.normalizer);
+  const nn::NeuralScorer dense_small(small, &corpus.normalizer);
+  const forest::ParallelScorer par_hybrid(&hybrid, pool_ptr, 64, crossover);
+  const forest::ParallelScorer par_dense(&dense_small, pool_ptr, 64,
+                                         crossover);
+  const forest::ParallelScorer par_subset(&subset_qs, pool_ptr, 64, crossover);
+  const core::CascadeScorer cascade(&par_subset, &par_dense,
+                                    serve::kCascadeRescoreFraction);
 
   // Rung costs via the paper's analytic predictors (neural rungs) and
   // direct measurement (tree rungs), clamped non-increasing as the ladder
@@ -526,7 +527,8 @@ int LatencyScenario(const Args& args) {
                                            hybrid.first_layer_sparsity(),
                                            dense_pred, sparse_pred),
       small_cost,
-      serve::PredictCascadeMicrosPerDoc(subset_cost, small_cost, 0.25),
+      serve::PredictCascadeMicrosPerDoc(subset_cost, small_cost,
+                                        serve::kCascadeRescoreFraction),
       subset_cost};
   double costs[4];
   for (int i = 0; i < 4; ++i) {
@@ -539,9 +541,9 @@ int LatencyScenario(const Args& args) {
   fic.spike_micros = kSpikeUs;
   fic.non_finite_probability = kNanRate;
   fic.seed = kSeed;
-  const serve::FaultInjectingScorer faulty_hybrid(&hybrid, fic);
-  const serve::InfallibleScorerAdapter dense_adapter(&dense_small);
-  const serve::InfallibleScorerAdapter cascade_adapter(&par_cascade);
+  const serve::FaultInjectingScorer faulty_hybrid(&par_hybrid, fic);
+  const serve::InfallibleScorerAdapter dense_adapter(&par_dense);
+  const serve::InfallibleScorerAdapter cascade_adapter(&cascade);
   const serve::InfallibleScorerAdapter subset_adapter(&par_subset);
   const auto ladder = MakeLadder({{"hybrid-nn", &faulty_hybrid, costs[0]},
                                   {"dense-nn", &dense_adapter, costs[1]},
