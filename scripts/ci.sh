@@ -31,6 +31,7 @@ DNLR_TEST_ARGS="-R Gemm|Packed|Sdmm|Distill|Neural" scripts/check.sh avx2
 
 # Threading-regression gates: the scaling bench runs both workload configs
 # with the release binary and fails the run (exit 1) if either gate trips.
+# Each ratio is the median of --repeats interleaved T=1/T=2 pairs.
 #   small — tiny per-call batches near the parallel crossover. T=2 must stay
 #           within 5% of T=1 (ratio >= 0.95): threading may never tax small
 #           batches, on any machine.
@@ -55,12 +56,13 @@ out/release/tools/dnlr_cli bench-scaling \
 
 # Observability guarantees: scoring with spans enabled must be bitwise
 # identical to scoring with them off (--check 1), and enabled spans may not
-# slow the GEMM microbench by more than 3% (best-of-trials on both sides,
-# so scheduler noise cannot fail the gate spuriously). The exported registry
-# report must round-trip the JSON validator.
+# slow the GEMM microbench by more than 3%: the median on/off time ratio
+# over 25 interleaved pairs, so a slow phase of the machine lands on both
+# sides of a pair. The exported registry report must round-trip the JSON
+# validator.
 echo "==== [stats] instrumentation gates (bitwise + <3% overhead)"
 out/release/tools/dnlr_cli stats \
-  --check 1 --max-overhead-pct 3 --trials 5 \
+  --check 1 --max-overhead-pct 3 --trials 25 \
   --queries 8 --out out/obs_stats_ci.json >/dev/null
 out/release/tools/dnlr_cli stats --in out/obs_stats_ci.json >/dev/null
 
@@ -92,9 +94,10 @@ out/release/tools/dnlr_cli serve-bench --reload-every 25 --requests 100 \
 # container, verify it (map-time structural pass + deferred payload CRC
 # sweep + the same deep section validation the text path gets), prove the
 # conversion round-trips to the original text bytes, and gate the load-path
-# speedup: `bundle bench` packs one model both ways, times cold loads, and
-# exits non-zero unless the mmap'ed binary load is >= 10x faster than the
-# text parse AND materializes bitwise-identical parameters. Finally swap
+# speedup: `bundle bench` packs one model both ways, times cold loads in 7
+# interleaved text/binary pairs, and exits non-zero unless the median
+# mmap'ed binary load is >= 10x faster than the text parse AND
+# materializes bitwise-identical parameters. Finally swap
 # the *binary* twin under sustained load — serve-bench --binary 1 captures
 # golden scores from the text-loaded generation and requires every
 # binary-loaded swap to reproduce them bitwise.

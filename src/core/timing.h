@@ -8,7 +8,8 @@ namespace dnlr::core {
 
 /// Measures the single-thread scoring time of `scorer` over all documents of
 /// `dataset`, in microseconds per document (the paper's efficiency metric).
-/// Takes the best of `repeats` full passes after one warm-up pass.
+/// Takes the median of `repeats` full passes after one warm-up pass
+/// (TimeMicros).
 double MeasureScorerMicrosPerDoc(const forest::DocumentScorer& scorer,
                                  const data::Dataset& dataset,
                                  int repeats = 3);

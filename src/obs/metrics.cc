@@ -37,9 +37,8 @@ std::string JsonNumber(double value, int precision = 3) {
   return buf;
 }
 
-/// JSON string escaping for metric names (quotes, backslashes, control
-/// bytes; names are ASCII by convention but escaping keeps the export
-/// well-formed no matter what gets registered).
+}  // namespace
+
 std::string JsonString(std::string_view s) {
   std::string out = "\"";
   for (const char c : s) {
@@ -63,8 +62,6 @@ std::string JsonString(std::string_view s) {
   out += '"';
   return out;
 }
-
-}  // namespace
 
 void Histogram::Record(double micros) {
   // Clamp instead of checking: a coarse clock can measure 0, and feeding a

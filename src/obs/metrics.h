@@ -164,17 +164,13 @@ class MetricsRegistry {
   std::atomic<bool> enabled_{false};
 };
 
-/// Hot-path test for whether scoring spans should measure anything. With
-/// the layer compiled out (DNLR_OBS=OFF) this is constant false, so every
-/// TraceSpan body dead-codes away even at call sites that do not use the
-/// DNLR_OBS_SPAN macro.
-inline bool Enabled() {
-#ifdef DNLR_OBS_DISABLED
-  return false;
-#else
-  return MetricsRegistry::Global().enabled();
-#endif
-}
+/// Hot-path test for whether scoring spans should measure anything.
+inline bool Enabled() { return MetricsRegistry::Global().enabled(); }
+
+/// `s` as a quoted JSON string: quotes and backslashes escaped, control
+/// bytes as \u00XX. Every exported report (the registry's and dnlr_cli's)
+/// quotes through this, so any name or path stays well-formed JSON.
+std::string JsonString(std::string_view s);
 
 /// Validates that `text` is one syntactically well-formed JSON value
 /// (object, array, string, number, true/false/null) with nothing but

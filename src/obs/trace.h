@@ -10,13 +10,11 @@ namespace dnlr::obs {
 /// Scoped profiling span: measures the wall time between construction and
 /// destruction and records it into a histogram. The run-time switch is
 /// sampled once at construction — when observability is off the span costs
-/// one relaxed atomic load and never touches a clock, and when the whole
-/// layer is compiled out (DNLR_OBS=OFF, see DNLR_OBS_SPAN below) the hot
-/// paths contain no span at all. Timing reads no model data, so scores are
-/// bitwise identical with spans on, off, or absent.
+/// one relaxed atomic load and never touches a clock. Timing reads no model
+/// data, so scores are bitwise identical with spans on or off.
 class TraceSpan {
  public:
-  /// No-op span (the compiled-out form of the macros below).
+  /// No-op span.
   TraceSpan() = default;
 
   /// Records into `histogram` at scope exit if observability is enabled
@@ -47,18 +45,7 @@ class TraceSpan {
 // histogram `name`. The histogram is resolved once per call site (static
 // local), so steady-state cost is the span itself. DNLR_OBS_COUNT(name, n)
 // bumps a registry counter, also gated on the run-time switch and resolved
-// once per call site. Configure with -DDNLR_OBS=OFF to compile every span
-// and count out of the binary entirely.
-#ifdef DNLR_OBS_DISABLED
-
-#define DNLR_OBS_SPAN(var, name) ::dnlr::obs::TraceSpan var
-
-#define DNLR_OBS_COUNT(name, n) \
-  do {                          \
-  } while (0)
-
-#else  // instrumentation compiled in
-
+// once per call site.
 #define DNLR_OBS_SPAN(var, name)                                 \
   static ::dnlr::obs::Histogram& var##_obs_histogram =           \
       ::dnlr::obs::MetricsRegistry::Global().GetHistogram(name); \
@@ -72,7 +59,5 @@ class TraceSpan {
       obs_counter.Add(n);                                        \
     }                                                            \
   } while (0)
-
-#endif  // DNLR_OBS_DISABLED
 
 #endif  // DNLR_OBS_TRACE_H_

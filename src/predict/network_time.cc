@@ -72,20 +72,18 @@ class BatchProbe {
     a_ = mm::PackedMatrix(a);
   }
 
-  /// Median wall time of the batches run on the calling thread.
-  double SerialMicros(int repeats) {
-    return TimeMicros([&] { Run(0, outputs_.size()); }, repeats);
-  }
-
-  /// Median wall time of one ParallelFor over the batches.
-  double ParallelMicros(common::ThreadPool* pool, int repeats) {
-    return TimeMicros(
+  /// Paired timing (TimePairedMicros) of the batches run on the calling
+  /// thread (A) against one ParallelFor over them (B): the ratio is the
+  /// measured speedup.
+  PairedTiming SerialVsParallel(common::ThreadPool* pool, int pairs) {
+    return TimePairedMicros(
+        [&] { Run(0, outputs_.size()); },
         [&] {
           pool->ParallelFor(outputs_.size(),
                             [&](uint32_t /*chunk*/, uint64_t begin,
                                 uint64_t end) { Run(begin, end); });
         },
-        repeats);
+        pairs);
   }
 
  private:
@@ -111,13 +109,8 @@ ParallelScaling MeasureParallelScaling(common::ThreadPool* pool, uint32_t m,
   // speedup = 1 + e * (T - 1) for e, then clamp to [0, 1]: oversubscribed
   // or noisy measurements must never make predicted times optimistic.
   BatchProbe many(m, k, n, 4 * scaling.num_threads);
-  const double serial_us = many.SerialMicros(repeats);
-  const double parallel_us = many.ParallelMicros(pool, repeats);
-  if (serial_us <= 0.0 || parallel_us <= 0.0) {
-    scaling.efficiency = 0.0;
-    return scaling;
-  }
-  const double efficiency = (serial_us / parallel_us - 1.0) /
+  const PairedTiming scaled = many.SerialVsParallel(pool, repeats);
+  const double efficiency = (scaled.ratio - 1.0) /
                             static_cast<double>(scaling.num_threads - 1);
   scaling.efficiency = std::min(1.0, std::max(0.0, efficiency));
 
@@ -125,9 +118,8 @@ ParallelScaling MeasureParallelScaling(common::ThreadPool* pool, uint32_t m,
   // time; what the fan-out adds on top of that is its coordination cost.
   constexpr uint32_t kTiny = 16;
   BatchProbe two(kTiny, kTiny, kTiny, 2);
-  const double two_serial_us = two.SerialMicros(repeats);
-  const double two_parallel_us = two.ParallelMicros(pool, repeats);
-  scaling.overhead_us = std::max(0.0, two_parallel_us - two_serial_us / 2.0);
+  const PairedTiming tiny = two.SerialVsParallel(pool, repeats);
+  scaling.overhead_us = std::max(0.0, tiny.b_micros - tiny.a_micros / 2.0);
 
   DNLR_CHECK_LE(scaling.efficiency, 1.0);
   DNLR_CHECK_GE(scaling.efficiency, 0.0);

@@ -78,11 +78,13 @@ struct ParallelScaling {
 /// ParallelFor over independent serial batches, each a pre-packed GEMM of
 /// m x k weights against a k x n batch (n = 64, the neural batch size).
 /// Efficiency comes from a many-batch probe (4 batches per thread) against
-/// the same batches run serially, and is clamped to [0, 1]: super-linear
-/// measurement noise must never make predicted times optimistic. The
-/// fan-out overhead comes from a second probe of two tiny batches, where
-/// the coordination dominates the compute. Returns the identity scaling
-/// (1 thread, efficiency 1, no overhead) for a null or single-thread pool.
+/// the same batches run serially, as the median serial/pooled ratio over
+/// `repeats` interleaved pairs (TimePairedMicros), and is clamped to
+/// [0, 1]: super-linear measurement noise must never make predicted times
+/// optimistic. The fan-out overhead comes from a second paired probe of two
+/// tiny batches, where the coordination dominates the compute. Returns the
+/// identity scaling (1 thread, efficiency 1, no overhead) for a null or
+/// single-thread pool.
 ParallelScaling MeasureParallelScaling(common::ThreadPool* pool,
                                        uint32_t m = 256, uint32_t k = 256,
                                        uint32_t n = 64, int repeats = 3);

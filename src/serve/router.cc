@@ -17,6 +17,11 @@ constexpr uint32_t kMaxProbesInFlight = 1;
 /// After a shard-side failure, how many further preference-order shards one
 /// request may try before its failure is returned to the caller.
 constexpr uint32_t kMaxFailoverHops = 2;
+/// A healthy shard whose health score (windowed failure rate +
+/// kSaturationWeight * queue-saturation fraction) reaches kQuarantineScore
+/// starts draining.
+constexpr double kQuarantineScore = 0.5;
+constexpr double kSaturationWeight = 0.5;
 
 // Relaxed increment: router counters are independent statistics, never a
 // synchronization point (see RouterCounters).
@@ -76,8 +81,6 @@ ShardedRouter::ShardedRouter(
   DNLR_CHECK_GE(ladders.size(), 1u);
   DNLR_CHECK_GE(config_.health_window_micros, 1u);
   DNLR_CHECK_GE(config_.min_window_requests, 1u);
-  DNLR_CHECK_GT(config_.quarantine_score, 0.0);
-  DNLR_CHECK_GE(config_.saturation_weight, 0.0);
   DNLR_CHECK_GE(config_.probe_successes_to_readmit, 1u);
   const uint64_t now = clock_->NowMicros();
   shards_.reserve(ladders.size());
@@ -188,7 +191,7 @@ double ShardedRouter::HealthScoreLocked(const Shard& shard) const {
       std::min(1.0, static_cast<double>(shard.engine->queue_depth()) /
                         static_cast<double>(engine_config_.queue_capacity));
   return FailureRateLocked(shard.health) +
-         config_.saturation_weight * saturation;
+         kSaturationWeight * saturation;
 }
 
 void ShardedRouter::AdvanceStateLocked(Shard& shard, uint64_t now) {
@@ -199,7 +202,7 @@ void ShardedRouter::AdvanceStateLocked(Shard& shard, uint64_t now) {
       const uint64_t total = health.cur_ok + health.cur_fail +
                              health.prev_ok + health.prev_fail;
       if (total >= config_.min_window_requests &&
-          HealthScoreLocked(shard) >= config_.quarantine_score) {
+          HealthScoreLocked(shard) >= kQuarantineScore) {
         health.state = ShardState::kDraining;
         health.state_until = now + config_.drain_micros;
         Bump(counters_.drains);

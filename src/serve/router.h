@@ -55,11 +55,6 @@ struct RouterConfig {
   /// Minimum outcomes in the rolling window before the failure rate is
   /// trusted (a single early fault must not quarantine a cold shard).
   uint32_t min_window_requests = 16;
-  /// A shard whose health score (windowed failure rate +
-  /// saturation_weight * queue-saturation fraction) reaches this starts
-  /// draining.
-  double quarantine_score = 0.5;
-  double saturation_weight = 0.5;
   /// Drain length: how long a draining shard may finish in-flight work
   /// before the fence hardens into quarantine.
   uint64_t drain_micros = 20'000;
@@ -230,8 +225,8 @@ class ShardedRouter {
   ShardState shard_state(size_t shard) const DNLR_EXCLUDES(state_mu_);
   /// Windowed failure rate in [0, 1] of shard `shard` right now.
   double shard_failure_rate(size_t shard) const DNLR_EXCLUDES(state_mu_);
-  /// failure rate + saturation_weight * queue fraction — the quantity
-  /// compared against quarantine_score.
+  /// failure rate + 0.5 * queue fraction — the quantity whose reaching 0.5
+  /// starts a drain.
   double shard_health_score(size_t shard) const DNLR_EXCLUDES(state_mu_);
 
   ServingEngine& shard_engine(size_t shard) { return *shards_[shard].engine; }

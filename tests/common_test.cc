@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "common/aligned.h"
@@ -257,6 +258,78 @@ TEST(TimerTest, TimeMicrosReturnsMedianNotMean) {
       5);
   EXPECT_GE(us, kFastMicros);
   EXPECT_LT(us, kSpikeMicros / 4.0);
+}
+
+TEST(TimerTest, QuantileSortedInterpolatesOrderStatistics) {
+  const std::vector<double> five{1.0, 2.0, 4.0, 8.0, 16.0};
+  EXPECT_EQ(QuantileSorted(five, 0.0), 1.0);
+  EXPECT_EQ(QuantileSorted(five, 0.25), 2.0);
+  EXPECT_EQ(QuantileSorted(five, 0.5), 4.0);
+  EXPECT_EQ(QuantileSorted(five, 0.75), 8.0);
+  EXPECT_EQ(QuantileSorted(five, 1.0), 16.0);
+  // Four samples: positions 0.75, 1.5 and 2.25 fall between statistics.
+  const std::vector<double> four{1.0, 2.0, 3.0, 5.0};
+  EXPECT_DOUBLE_EQ(QuantileSorted(four, 0.25), 1.75);
+  EXPECT_DOUBLE_EQ(QuantileSorted(four, 0.5), 2.5);
+  EXPECT_DOUBLE_EQ(QuantileSorted(four, 0.75), 3.5);
+  EXPECT_EQ(QuantileSorted({7.0}, 0.25), 7.0);
+  EXPECT_EQ(QuantileSorted({}, 0.5), 0.0);
+}
+
+// Odd pair count: ratios a/b = {2, 0.5, 4, 1, 3} sort to {0.5, 1, 2, 3, 4}.
+// The side medians come from each side's own samples, not from the pair
+// with the median ratio.
+TEST(TimerTest, SummarizePairsOddCount) {
+  const PairedTiming t = SummarizePairs({20.0, 5.0, 40.0, 10.0, 30.0},
+                                        {10.0, 10.0, 10.0, 10.0, 10.0});
+  EXPECT_EQ(t.pairs, 5);
+  EXPECT_EQ(t.ratio, 2.0);
+  EXPECT_EQ(t.ratio_q1, 1.0);
+  EXPECT_EQ(t.ratio_q3, 3.0);
+  EXPECT_EQ(t.a_micros, 20.0);
+  EXPECT_EQ(t.b_micros, 10.0);
+}
+
+// Even pair count: ratios {1, 2, 4, 8}; the median is the mean of the two
+// central ratios, the quartiles interpolate at positions 0.75 and 2.25.
+TEST(TimerTest, SummarizePairsEvenCount) {
+  const PairedTiming t =
+      SummarizePairs({8.0, 4.0, 8.0, 2.0}, {1.0, 2.0, 2.0, 2.0});
+  EXPECT_EQ(t.pairs, 4);
+  EXPECT_DOUBLE_EQ(t.ratio, 3.0);
+  EXPECT_DOUBLE_EQ(t.ratio_q1, 1.75);
+  EXPECT_DOUBLE_EQ(t.ratio_q3, 5.0);
+  EXPECT_DOUBLE_EQ(t.a_micros, 6.0);
+  EXPECT_DOUBLE_EQ(t.b_micros, 2.0);
+}
+
+TEST(TimerTest, SummarizePairsEdgeCases) {
+  const PairedTiming one = SummarizePairs({3.0}, {2.0});
+  EXPECT_EQ(one.pairs, 1);
+  EXPECT_EQ(one.ratio, 1.5);
+  EXPECT_EQ(one.ratio_q1, 1.5);
+  EXPECT_EQ(one.ratio_q3, 1.5);
+  // A zero B time yields ratio 0, never infinity.
+  EXPECT_EQ(SummarizePairs({3.0}, {0.0}).ratio, 0.0);
+  EXPECT_EQ(SummarizePairs({}, {}).pairs, 0);
+  EXPECT_EQ(SummarizePairs({}, {}).ratio, 0.0);
+}
+
+// Each pair runs both sides through TimeMicros (a warm-up call, then the
+// timed one), A first on even pairs and B first on odd ones.
+TEST(TimerTest, TimePairedMicrosAlternatesWhichSideGoesFirst) {
+  std::string order;
+  const PairedTiming t = TimePairedMicros([&] { order += 'a'; },
+                                          [&] { order += 'b'; }, 3);
+  EXPECT_EQ(order, "aabb" "bbaa" "aabb");
+  EXPECT_EQ(t.pairs, 3);
+  EXPECT_GE(t.a_micros, 0.0);
+  EXPECT_GE(t.b_micros, 0.0);
+  order.clear();
+  EXPECT_EQ(TimePairedMicros([&] { order += 'a'; }, [&] { order += 'b'; }, 0)
+                .pairs,
+            1);
+  EXPECT_EQ(order, "aabb");
 }
 
 }  // namespace

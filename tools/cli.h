@@ -9,6 +9,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <functional>
 #include <map>
 #include <sstream>
 #include <string>
@@ -19,6 +20,7 @@
 
 #include "common/file_util.h"
 #include "common/status.h"
+#include "common/timer.h"
 #include "data/dataset.h"
 #include "data/normalize.h"
 #include "data/synthetic.h"
@@ -108,6 +110,17 @@ inline std::string FormatFixed(double value, int precision) {
   return buf;
 }
 
+/// What every ratio gate prints next to its verdict: "median [q1, q3] over
+/// N pairs" of a paired timing, each ratio passed through `map` (e.g. into
+/// a percent overhead) first.
+template <typename Map = std::identity>
+std::string Spread(const PairedTiming& timing, int precision, Map map = {}) {
+  return FormatFixed(map(timing.ratio), precision) + " [" +
+         FormatFixed(map(timing.ratio_q1), precision) + ", " +
+         FormatFixed(map(timing.ratio_q3), precision) + "] over " +
+         std::to_string(timing.pairs) + " pairs";
+}
+
 /// Creates the directory a generated artifact lands in. Bench output lives
 /// under out/ (gitignored) rather than next to the bench sources, so a
 /// fresh checkout needs the directory created on first run.
@@ -183,15 +196,6 @@ struct Json {
   std::string text;
 };
 
-inline std::string Quote(std::string_view text) {
-  std::string quoted = "\"";
-  for (const char c : text) {
-    if (c == '"' || c == '\\') quoted += '\\';
-    quoted += c;
-  }
-  return quoted + "\"";
-}
-
 inline Json Fixed(double value, int precision) {
   return {FormatFixed(value, precision)};
 }
@@ -200,8 +204,10 @@ inline std::string Render(const Json& value) { return value.text; }
 inline std::string Render(bool value) { return value ? "true" : "false"; }
 // const char* needs its own overload: it would convert to bool before
 // std::string_view.
-inline std::string Render(const char* value) { return Quote(value); }
-inline std::string Render(std::string_view value) { return Quote(value); }
+inline std::string Render(const char* value) { return obs::JsonString(value); }
+inline std::string Render(std::string_view value) {
+  return obs::JsonString(value);
+}
 template <typename T>
   requires std::is_arithmetic_v<T>
 std::string Render(T value) {
@@ -215,7 +221,7 @@ template <typename Value, typename... Rest>
 void AppendMembers(std::string* body, std::string_view key,
                    const Value& value, const Rest&... rest) {
   if (!body->empty()) *body += ", ";
-  *body += Quote(key) + ": " + Render(value);
+  *body += obs::JsonString(key) + ": " + Render(value);
   AppendMembers(body, rest...);
 }
 

@@ -9,7 +9,6 @@
 // README.md describes each command.
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -30,6 +29,7 @@
 #include "common/rng.h"
 #include "common/string_util.h"
 #include "common/thread_pool.h"
+#include "common/timer.h"
 #include "core/pipeline.h"
 #include "core/timing.h"
 #include "forest/parallel_scorer.h"
@@ -396,24 +396,14 @@ int CmdBenchScaling(const Args& args) {
     }
   }
 
-  struct Row {
-    uint32_t threads = 1;
-    double efficiency = 1.0;
-    double overhead_us = 0.0;
-    uint32_t nn_min_parallel_docs = 0;
-    double dense_docs_per_s = 0.0;
-    double hybrid_docs_per_s = 0.0;
-    double tree_docs_per_s = 0.0;
+  // The UINT32_MAX sentinel ("parallelism never wins on this machine") is
+  // reported as -1, readable where ten digits would not be.
+  const auto or_minus_one = [](uint32_t value) {
+    return value == UINT32_MAX ? int64_t{-1} : int64_t{value};
   };
-  struct ConfigReport {
-    Preset preset;
-    uint32_t docs = 0;
-    std::vector<Row> rows;
-    double t2_ratio = 0.0;     // dense T=2 / T=1 docs/s; 0 when not measured
-    double gate_ratio = 0.0;   // required minimum; 0 when no gate applies
-    bool gate_pass = true;
-  };
-  std::vector<ConfigReport> reports;
+  constexpr const char* kEngines[] = {"dense", "hybrid", "tree"};
+  std::vector<std::string> configs;
+  bool gates_pass = true;
 
   // With --obs 1 the GEMM / scorer spans record during the measurement
   // loop, so the report can say where scoring time went (pack vs kernel),
@@ -438,158 +428,110 @@ int CmdBenchScaling(const Args& args) {
     nn::WeightMasks masks = prune::MakeDenseMasks(hybrid_mlp);
     prune::LevelPruneLayer(&hybrid_mlp, 0, sparsity, &masks);
 
-    ConfigReport report;
-    report.preset = preset;
-    report.docs = dataset.num_docs();
-
     // The neural engines pack their weights once; every thread count wraps
     // the same scorers in the one intra-request fan-out.
     const nn::NeuralScorer dense(dense_mlp, &corpus.normalizer);
     const nn::HybridNeuralScorer hybrid(hybrid_mlp, &corpus.normalizer);
+    const forest::DocumentScorer* const engines[] = {&dense, &hybrid,
+                                                     &tree_scorer};
 
-    // Serial per-doc costs from the T=1 row feed CrossoverDocs for the
-    // T>1 rows, so the crossover the bench applies is the one a production
-    // caller would compute from the same measurements.
-    double dense_serial_us = 0.0;
-    double tree_serial_us = 0.0;
+    // Serial per-doc costs: the T=1 row, and what CrossoverDocs gates the
+    // T>1 wrappers on, so the crossover the bench applies is the one a
+    // production caller would compute from the same measurements.
+    double serial_us[3];
+    for (int e = 0; e < 3; ++e) {
+      serial_us[e] =
+          core::MeasureScorerMicrosPerDoc(*engines[e], dataset, repeats);
+    }
+    std::vector<float> scores(dataset.num_docs());
+    const auto score_all = [&](const forest::DocumentScorer* scorer) {
+      return [&, scorer] {
+        scorer->Score(dataset.features().data(), dataset.num_docs(),
+                      dataset.num_features(), scores.data());
+      };
+    };
 
+    std::string results;
+    PairedTiming t2;  // dense T=1 vs T=2; pairs == 0 when not measured
     for (const uint32_t t : thread_counts) {
       common::ThreadPool pool(t);
-      common::ThreadPool* pool_ptr = t > 1 ? &pool : nullptr;
-
-      Row row;
-      row.threads = t;
-
+      predict::ParallelScaling scaling;
       uint32_t nn_crossover = 0;
       uint32_t tree_crossover = 0;
       if (t > 1) {
-        const predict::ParallelScaling scaling =
-            predict::MeasureParallelScaling(pool_ptr, 256, 256, 64, repeats);
-        row.efficiency = scaling.efficiency;
-        row.overhead_us = scaling.overhead_us;
-        // Each engine gates on its own serial cost; without a T=1 baseline
-        // (a --threads list omitting 1) the structural floor stands.
-        if (dense_serial_us > 0.0) {
-          nn_crossover = scaling.CrossoverDocs(dense_serial_us);
-        }
-        if (tree_serial_us > 0.0) {
-          tree_crossover = scaling.CrossoverDocs(tree_serial_us);
-        }
+        scaling = predict::MeasureParallelScaling(&pool, 256, 256, 64, repeats);
+        nn_crossover = scaling.CrossoverDocs(serial_us[0]);
+        tree_crossover = scaling.CrossoverDocs(serial_us[2]);
       }
       // Chunks of whole 64-document batches keep the neural scores bitwise;
       // below two of them a call stays serial whatever the crossover.
-      row.nn_min_parallel_docs = std::max(2u * 64, nn_crossover);
-      const forest::ParallelScorer par_dense(&dense, pool_ptr, 64,
-                                             nn_crossover);
-      const forest::ParallelScorer par_hybrid(&hybrid, pool_ptr, 64,
-                                              nn_crossover);
-      const forest::ParallelScorer tree(&tree_scorer, pool_ptr, 64,
-                                        tree_crossover);
-
-      const double dense_us =
-          core::MeasureScorerMicrosPerDoc(par_dense, dataset, repeats);
-      const double hybrid_us =
-          core::MeasureScorerMicrosPerDoc(par_hybrid, dataset, repeats);
-      const double tree_us =
-          core::MeasureScorerMicrosPerDoc(tree, dataset, repeats);
-      if (t == 1) {
-        dense_serial_us = dense_us;
-        tree_serial_us = tree_us;
+      std::string row;
+      AppendMembers(&row, "threads", t, "parallel_efficiency",
+                    Fixed(scaling.efficiency, 3), "overhead_us",
+                    Fixed(scaling.overhead_us, 2), "nn_min_parallel_docs",
+                    or_minus_one(std::max(2u * 64, nn_crossover)));
+      std::string line;
+      for (int e = 0; e < 3; ++e) {
+        // T>1: the serial engine (A) paired with its pooled wrapper (B);
+        // the median ratio is the speedup over T=1.
+        double docs_per_s = 1e6 / serial_us[e];
+        double speedup = 1.0;
+        if (t > 1) {
+          const forest::ParallelScorer wrapped(
+              engines[e], &pool, 64, e == 2 ? tree_crossover : nn_crossover);
+          const PairedTiming paired = TimePairedMicros(
+              score_all(engines[e]), score_all(&wrapped), repeats);
+          docs_per_s = dataset.num_docs() * 1e6 / paired.b_micros;
+          speedup = paired.ratio;
+          if (e == 0 && t == 2 && t2.pairs == 0) t2 = paired;
+        }
+        const std::string engine = kEngines[e];
+        AppendMembers(&row, engine + "_docs_per_s", Fixed(docs_per_s, 1),
+                      engine + "_speedup", Fixed(speedup, 3));
+        line += "  " + engine + " " + FormatFixed(docs_per_s, 0);
       }
-      row.dense_docs_per_s = 1e6 / dense_us;
-      row.hybrid_docs_per_s = 1e6 / hybrid_us;
-      row.tree_docs_per_s = 1e6 / tree_us;
-      report.rows.push_back(row);
-      std::fprintf(stderr,
-                   "[%s] T=%u  efficiency %.2f  dense %9.0f  "
-                   "hybrid %9.0f  tree %9.0f docs/s\n",
-                   preset.name.c_str(), t, row.efficiency,
-                   row.dense_docs_per_s, row.hybrid_docs_per_s,
-                   row.tree_docs_per_s);
+      results += (results.empty() ? "{" : ",\n       {") + row + "}";
+      std::fprintf(stderr, "[%s] T=%u  efficiency %.2f%s docs/s\n",
+                   preset.name.c_str(), t, scaling.efficiency, line.c_str());
     }
-    reports.push_back(std::move(report));
-  }
 
-  // Per-config T=2 / T=1 ratios and gates. "small" answers to
-  // --min-t2-ratio-small (the no-regression bound); every other config
-  // answers to --min-t2-ratio (the must-scale bound).
-  bool gates_pass = true;
-  for (ConfigReport& report : reports) {
-    const Row* t1 = nullptr;
-    const Row* t2 = nullptr;
-    for (const Row& row : report.rows) {
-      if (row.threads == 1 && t1 == nullptr) t1 = &row;
-      if (row.threads == 2 && t2 == nullptr) t2 = &row;
-    }
-    if (t1 != nullptr && t2 != nullptr && t1->dense_docs_per_s > 0.0) {
-      report.t2_ratio = t2->dense_docs_per_s / t1->dense_docs_per_s;
-    }
-    report.gate_ratio =
-        report.preset.name == "small" ? min_t2_ratio_small : min_t2_ratio;
-    if (report.gate_ratio <= 0.0) continue;
-    if (t1 == nullptr || t2 == nullptr) {
-      std::fprintf(stderr,
-                   "[%s] gate needs both 1 and 2 in --threads\n",
-                   report.preset.name.c_str());
-      report.gate_pass = false;
-      gates_pass = false;
-      continue;
-    }
-    report.gate_pass = report.t2_ratio >= report.gate_ratio;
-    if (!report.gate_pass) gates_pass = false;
-  }
-
-  // The UINT32_MAX sentinel ("parallelism never wins on this machine") is
-  // reported as -1, readable where ten digits would not be.
-  const auto or_minus_one = [](uint32_t value) {
-    return value == UINT32_MAX ? int64_t{-1} : int64_t{value};
-  };
-  std::vector<std::string> configs;
-  for (const ConfigReport& report : reports) {
-    const auto t1 =
-        std::find_if(report.rows.begin(), report.rows.end(),
-                     [](const Row& row) { return row.threads == 1; });
-    const Row& base = t1 != report.rows.end() ? *t1 : report.rows.front();
-    std::string results;
-    for (const Row& row : report.rows) {
-      results += (results.empty() ? "" : ",\n       ") +
-                 JsonObject(
-                     "threads", row.threads,
-                     "parallel_efficiency", Fixed(row.efficiency, 3),
-                     "overhead_us", Fixed(row.overhead_us, 2),
-                     "nn_min_parallel_docs",
-                     or_minus_one(row.nn_min_parallel_docs),
-                     "dense_docs_per_s", Fixed(row.dense_docs_per_s, 1),
-                     "dense_speedup",
-                     Fixed(row.dense_docs_per_s / base.dense_docs_per_s, 3),
-                     "hybrid_docs_per_s", Fixed(row.hybrid_docs_per_s, 1),
-                     "hybrid_speedup",
-                     Fixed(row.hybrid_docs_per_s / base.hybrid_docs_per_s, 3),
-                     "tree_docs_per_s", Fixed(row.tree_docs_per_s, 1),
-                     "tree_speedup",
-                     Fixed(row.tree_docs_per_s / base.tree_docs_per_s, 3));
-    }
     std::string config;
     AppendMembers(
-        &config, "name", report.preset.name, "config",
-        Json{JsonObject("features", features, "queries", report.preset.queries,
-                        "docs", report.docs, "arch", report.preset.arch,
-                        "sparsity", Fixed(sparsity, 3),
-                        "trees", report.preset.trees, "repeats", repeats,
-                        "seed", seed)},
+        &config, "name", preset.name, "config",
+        Json{JsonObject("features", features, "queries", preset.queries,
+                        "docs", dataset.num_docs(), "arch", preset.arch,
+                        "sparsity", Fixed(sparsity, 3), "trees", preset.trees,
+                        "repeats", repeats, "seed", seed)},
         "results", Json{"[\n       " + results + "\n     ]"});
-    if (report.gate_ratio > 0.0) {
-      AppendMembers(&config, "gate",
-                    Json{JsonObject("min_t2_ratio", Fixed(report.gate_ratio, 3),
-                                    "t2_ratio", Fixed(report.t2_ratio, 3),
-                                    "pass", report.gate_pass)});
+
+    // The gate on the paired dense T=2/T=1 ratio. "small" answers to
+    // --min-t2-ratio-small (the no-regression bound); every other config
+    // answers to --min-t2-ratio (the must-scale bound).
+    const double gate = preset.name == "small" ? min_t2_ratio_small
+                                               : min_t2_ratio;
+    if (gate > 0.0) {
+      const bool pass = t2.pairs > 0 && t2.ratio >= gate;
+      gates_pass = gates_pass && pass;
+      AppendMembers(
+          &config, "gate",
+          Json{JsonObject("min_t2_ratio", Fixed(gate, 3), "t2_ratio",
+                          Fixed(t2.ratio, 3), "pass", pass)});
+      if (t2.pairs == 0) {
+        std::fprintf(stderr, "[%s] gate needs 2 in --threads\n",
+                     preset.name.c_str());
+      } else {
+        std::fprintf(pass ? stdout : stderr,
+                     "%s [%s]: dense T=2/T=1 throughput ratio %s %s %.3f\n",
+                     pass ? "scaling gate ok" : "FAIL", preset.name.c_str(),
+                     Spread(t2, 3).c_str(), pass ? ">=" : "<", gate);
+      }
     }
     configs.push_back("{" + config + "}");
   }
   std::ostringstream json;
   json << "{\n  \"benchmark\": \"bench-scaling\",\n  \"hardware_threads\": "
        << common::ThreadPool::HardwareThreads() << ",\n  \"gemm_kernel\": "
-       << Quote(mm::GemmKernelName()) << ",\n  \"configs\": "
+       << obs::JsonString(mm::GemmKernelName()) << ",\n  \"configs\": "
        << JsonArray(configs);
   if (obs_spans) {
     obs::MetricsRegistry::Global().SetEnabled(false);
@@ -597,7 +539,7 @@ int CmdBenchScaling(const Args& args) {
     json << ",\n  \"obs\": {\"gemm_calls\": "
          << registry.GetCounter("mm.gemm.calls").Value() << ", "
          << GemmSplitJson(GemmSplitMicros(registry))
-         << ", \"stats_file\": " << Quote(obs_out) << "}";
+         << ", \"stats_file\": " << obs::JsonString(obs_out) << "}";
   }
   json << "\n}\n";
 
@@ -608,20 +550,6 @@ int CmdBenchScaling(const Args& args) {
     return 1;
   }
 
-  for (const ConfigReport& report : reports) {
-    if (report.gate_ratio <= 0.0) continue;
-    if (!report.gate_pass) {
-      std::fprintf(stderr,
-                   "FAIL [%s]: dense rung T=2/T=1 throughput ratio "
-                   "%.3f < %.3f\n",
-                   report.preset.name.c_str(), report.t2_ratio,
-                   report.gate_ratio);
-    } else {
-      std::printf("scaling gate ok [%s]: dense T=2/T=1 ratio %.3f >= %.3f\n",
-                  report.preset.name.c_str(), report.t2_ratio,
-                  report.gate_ratio);
-    }
-  }
   return gates_pass ? 0 : 1;
 }
 
@@ -632,9 +560,9 @@ int CmdBenchScaling(const Args& args) {
 ///   --check 1              scores with spans on must be bitwise identical
 ///                          to scores with spans off (exit 1 otherwise);
 ///   --max-overhead-pct X   enabled spans may slow the GEMM microbench by
-///                          at most X percent (best-of-trials on both
-///                          sides, so scheduler noise cannot fail the gate
-///                          spuriously).
+///                          at most X percent: the median on/off time
+///                          ratio over --trials interleaved pairs, so a
+///                          slow phase of the machine lands on both sides.
 /// With --in F it instead validates an exported report file and prints it.
 int CmdStats(const Args& args) {
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
@@ -659,7 +587,7 @@ int CmdStats(const Args& args) {
   const auto seed = static_cast<uint64_t>(args.GetInt("seed", 7));
   const bool check = args.GetInt("check", 0) != 0;
   const double max_overhead_pct = args.GetDouble("max-overhead-pct", 0.0);
-  const int trials = args.GetInt("trials", 3);
+  const int trials = args.GetInt("trials", 25);
   const std::string out = args.Get("out", "-");
 
   const Corpus corpus(queries, features, seed);
@@ -701,22 +629,30 @@ int CmdStats(const Args& args) {
   }
 
   if (max_overhead_pct > 0.0) {
-    // GFLOPS is best-of-repeats, i.e. min time; taking the best across
-    // trials on both sides compares two near-noise-free minima.
-    double off_gflops = 0.0;
-    double on_gflops = 0.0;
-    for (int trial = 0; trial < std::max(1, trials); ++trial) {
-      registry.SetEnabled(false);
-      off_gflops = std::max(off_gflops, mm::MeasureGemmGflops(256, 256, 64, 5));
-      registry.SetEnabled(true);
-      on_gflops = std::max(on_gflops, mm::MeasureGemmGflops(256, 256, 64, 5));
-    }
+    // Spans on (A) against spans off (B) over the same operands, one call
+    // per side per pair; the A matrix is packed per call.
+    Rng rng(seed);
+    mm::Matrix a(256, 256);
+    mm::Matrix b(256, 64);
+    mm::Matrix c(256, 64);
+    a.FillUniform(rng);
+    b.FillUniform(rng);
+    const auto gemm_with_spans = [&](bool on) {
+      return [&, on] {
+        registry.SetEnabled(on);
+        mm::Gemm(a, b, &c);
+      };
+    };
+    const PairedTiming paired = TimePairedMicros(
+        gemm_with_spans(true), gemm_with_spans(false), trials);
     registry.SetEnabled(false);
-    const double overhead_pct = (off_gflops / on_gflops - 1.0) * 100.0;
+    const auto percent = [](double ratio) { return (ratio - 1.0) * 100.0; };
+    const double overhead_pct = percent(paired.ratio);
     registry.GetGauge("obs.gemm_overhead_pct").Set(overhead_pct);
     const bool ok = overhead_pct <= max_overhead_pct;
-    std::printf("gemm span overhead %.2f%% (gate %.2f%%): %s\n", overhead_pct,
-                max_overhead_pct, ok ? "ok" : "FAIL");
+    std::printf("gemm span overhead %%: %s (gate %.2f%%): %s\n",
+                Spread(paired, 2, percent).c_str(), max_overhead_pct,
+                ok ? "ok" : "FAIL");
     if (!ok) ++failures;
   }
 
@@ -1041,10 +977,11 @@ gbdt::RegressionTree BenchRandomTree(Rng& rng, uint32_t leaves,
 /// bundle bench: packs one randomly initialized model family as both a v1
 /// text bundle and a v2 binary bundle, measures cold bundle-load +
 /// model-materialization time for each (text: read + parse; binary: mmap +
-/// bounds-checked memcpy decode; best of --iters), and proves the two
-/// loads materialize bitwise-identical models by comparing their canonical
-/// text serializations. --min-speedup gates the binary/text load-time
-/// ratio — the CI evidence for the binary format's load-time claim.
+/// bounds-checked memcpy decode; the median over --iters interleaved
+/// pairs), and proves the two loads materialize bitwise-identical models by
+/// comparing their canonical text serializations. --min-speedup gates the
+/// text/binary load-time ratio — the CI evidence for the binary format's
+/// load-time claim.
 int CmdBundleBench(const Args& args) {
   const auto features = static_cast<uint32_t>(args.GetInt("features", 136));
   const auto trees = static_cast<uint32_t>(args.GetInt("trees", 300));
@@ -1109,36 +1046,25 @@ int CmdBundleBench(const Args& args) {
     return models.Serialize();
   };
 
-  // Best-of-iters cold load (`load` opens the container) + materialization
-  // (`decode` returns the four model decoders' Results over it); the first
-  // iteration's models are fingerprinted into `fp`.
-  using Clock = std::chrono::steady_clock;
-  const auto time_loads = [&](const auto& load, const auto& decode,
-                              double* best_us, std::string* fp) {
-    *best_us = std::numeric_limits<double>::infinity();
-    for (int i = 0; i < iters; ++i) {
-      const auto start = Clock::now();
-      auto loaded = load();
-      if (Failed(loaded.status())) return false;
-      const auto models = decode(*loaded);
-      if (!std::apply([](const auto&... m) { return (m.ok() && ...); },
-                      models)) {
-        std::fprintf(stderr, "load failed to materialize a model\n");
-        return false;
-      }
-      const std::chrono::duration<double, std::micro> elapsed =
-          Clock::now() - start;
-      *best_us = std::min(*best_us, elapsed.count());
-      if (i == 0) {
-        auto fingerprinted = std::apply(fingerprint, models);
-        if (Failed(fingerprinted.status())) return false;
-        *fp = std::move(*fingerprinted);
-      }
+  // One load (`load` opens the container) + materialization (`decode`
+  // returns the four model decoders' Results over it); with a non-null
+  // `fp` the models are fingerprinted into it. False when a step failed.
+  const auto load_models = [&](const auto& load, const auto& decode,
+                               std::string* fp) {
+    auto loaded = load();
+    if (Failed(loaded.status())) return false;
+    const auto models = decode(*loaded);
+    if (!std::apply([](const auto&... m) { return (m.ok() && ...); },
+                    models)) {
+      std::fprintf(stderr, "load failed to materialize a model\n");
+      return false;
     }
+    if (fp == nullptr) return true;
+    auto fingerprinted = std::apply(fingerprint, models);
+    if (Failed(fingerprinted.status())) return false;
+    *fp = std::move(*fingerprinted);
     return true;
   };
-  double text_us = 0.0;
-  double binary_us = 0.0;
   std::string text_fingerprint;
   std::string binary_fingerprint;
   bool mmap_used = false;
@@ -1164,9 +1090,8 @@ int CmdBundleBench(const Args& args) {
     return std::make_tuple(mapped.Teacher(), mapped.Student(),
                            mapped.Normalizer(), mapped.Rungs());
   };
-  if (!time_loads(load_text, parse_text, &text_us, &text_fingerprint) ||
-      !time_loads(load_binary, decode_binary, &binary_us,
-                  &binary_fingerprint)) {
+  if (!load_models(load_text, parse_text, &text_fingerprint) ||
+      !load_models(load_binary, decode_binary, &binary_fingerprint)) {
     return 1;
   }
 
@@ -1177,18 +1102,28 @@ int CmdBundleBench(const Args& args) {
     return 1;
   }
 
+  // Text (A) against binary (B) loads over --iters interleaved pairs: the
+  // median ratio is the speedup.
+  bool loads_ok = true;
+  const PairedTiming paired = TimePairedMicros(
+      [&] { loads_ok &= load_models(load_text, parse_text, nullptr); },
+      [&] { loads_ok &= load_models(load_binary, decode_binary, nullptr); },
+      iters);
+  if (!loads_ok) return 1;
+
   const auto text_size = std::filesystem::file_size(text_path);
   const auto binary_size = std::filesystem::file_size(binary_path);
-  const double speedup = text_us / binary_us;
   std::printf("text    %10ju bytes  load %10.1f us  (%s)\n",
-              static_cast<uintmax_t>(text_size), text_us, text_path.c_str());
+              static_cast<uintmax_t>(text_size), paired.a_micros,
+              text_path.c_str());
   std::printf("binary  %10ju bytes  load %10.1f us  (%s, %s)\n",
-              static_cast<uintmax_t>(binary_size), binary_us,
+              static_cast<uintmax_t>(binary_size), paired.b_micros,
               binary_path.c_str(), mmap_used ? "mmap" : "read fallback");
-  std::printf("speedup %.1fx, models bitwise identical\n", speedup);
-  if (min_speedup > 0.0 && speedup < min_speedup) {
+  std::printf("text/binary load speedup: %s, models bitwise identical\n",
+              Spread(paired, 1).c_str());
+  if (min_speedup > 0.0 && paired.ratio < min_speedup) {
     std::fprintf(stderr, "FAIL: speedup %.1fx below --min-speedup %.1f\n",
-                 speedup, min_speedup);
+                 paired.ratio, min_speedup);
     return 1;
   }
   return 0;

@@ -124,9 +124,10 @@ class Report {
       AppendMembers(&gates_, "pass", failed_.empty());
       Add("gates", "{" + gates_ + "}");
     }
-    std::string json = "{\n  \"benchmark\": " + Quote(benchmark_);
+    std::string json =
+        "{\n  \"benchmark\": " + obs::JsonString(benchmark_);
     for (const auto& [key, value] : members_) {
-      json += ",\n  " + Quote(key) + ": " + value;
+      json += ",\n  " + obs::JsonString(key) + ": " + value;
     }
     json += "\n}\n";
     std::printf("%s", json.c_str());
